@@ -8,7 +8,7 @@
 use deptree_core::engine::{Exec, Outcome};
 use deptree_core::{Fd, Sfd};
 use deptree_relation::{AttrId, AttrSet, Relation, Value};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Configuration for [`discover`].
 #[derive(Debug, Clone)]
@@ -78,10 +78,13 @@ fn bucket(v: &Value, max: usize) -> u64 {
 
 /// Chi-square statistic of independence over the bucketized contingency
 /// table of columns `a`, `b` restricted to `rows`.
+///
+/// Cells are summed in ascending bucket order, so the statistic is
+/// bit-identical from run to run.
 pub fn chi_square(r: &Relation, rows: &[usize], a: AttrId, b: AttrId, max_cat: usize) -> f64 {
-    let mut joint: HashMap<(u64, u64), f64> = HashMap::new();
-    let mut ma: HashMap<u64, f64> = HashMap::new();
-    let mut mb: HashMap<u64, f64> = HashMap::new();
+    let mut joint: BTreeMap<(u64, u64), f64> = BTreeMap::new();
+    let mut ma: BTreeMap<u64, f64> = BTreeMap::new();
+    let mut mb: BTreeMap<u64, f64> = BTreeMap::new();
     let n = rows.len() as f64;
     for &row in rows {
         let ba = bucket(r.value(row, a), max_cat);
@@ -91,16 +94,14 @@ pub fn chi_square(r: &Relation, rows: &[usize], a: AttrId, b: AttrId, max_cat: u
         *mb.entry(bb).or_default() += 1.0;
     }
     let mut chi2 = 0.0;
-    for (&(ba, bb), &obs) in &joint {
-        let expected = ma[&ba] * mb[&bb] / n;
-        chi2 += (obs - expected).powi(2) / expected;
-    }
-    // Unobserved cells contribute their expectation.
     for (&ba, &ca) in &ma {
         for (&bb, &cb) in &mb {
-            if !joint.contains_key(&(ba, bb)) {
-                chi2 += ca * cb / n;
-            }
+            let expected = ca * cb / n;
+            chi2 += match joint.get(&(ba, bb)) {
+                Some(&obs) => (obs - expected).powi(2) / expected,
+                // Unobserved cells contribute their expectation.
+                None => expected,
+            };
         }
     }
     chi2
@@ -141,9 +142,11 @@ pub fn discover_bounded(r: &Relation, cfg: &CordsConfig, exec: &Exec) -> Outcome
                 let fd = Fd::new(r.schema(), AttrSet::single(a), AttrSet::single(b));
                 sfds.push(Sfd::new(fd, cfg.min_strength));
             }
-            if a < b {
+            // A non-positive threshold disables the filter, so the
+            // statistic would be thrown away.
+            if a < b && cfg.chi2_threshold > 0.0 {
                 let chi2 = chi_square(&sample, &local_rows, a, b, cfg.max_categories);
-                if chi2 > cfg.chi2_threshold && cfg.chi2_threshold > 0.0 {
+                if chi2 > cfg.chi2_threshold {
                     correlations.push(Correlation { a, b, chi2 });
                 }
             }
@@ -247,5 +250,19 @@ mod tests {
             dep > indep * 3.0,
             "correlated {dep} should dwarf independent {indep}"
         );
+    }
+
+    #[test]
+    fn chi_square_is_bit_identical_across_calls() {
+        let data = planted(3000, 0.05, 11);
+        let r = &data.relation;
+        let rows: Vec<usize> = (0..r.n_rows()).collect();
+        let first = chi_square(r, &rows, AttrId(0), AttrId(1), 20).to_bits();
+        for _ in 0..16 {
+            assert_eq!(
+                chi_square(r, &rows, AttrId(0), AttrId(1), 20).to_bits(),
+                first
+            );
+        }
     }
 }

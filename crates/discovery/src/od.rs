@@ -1,10 +1,10 @@
 //! Order-dependency discovery (§4.2.3): a FASTOD-flavoured search that
-//! validates candidate ODs on sorted partitions in `O(n log n)` per
-//! candidate, over the direction combinations of marked attributes.
+//! validates single-attribute candidates in one `O(n + |dom A|)` pass over
+//! dictionary codes, over the direction combinations of marked attributes.
 
 use deptree_core::engine::{Exec, Outcome};
 use deptree_core::{Dependency, Direction, Od};
-use deptree_relation::{AttrId, AttrSet, Relation, Value};
+use deptree_relation::{AttrId, Relation};
 
 /// Configuration for [`discover`].
 #[derive(Debug, Clone)]
@@ -19,39 +19,50 @@ impl Default for OdConfig {
     }
 }
 
-/// Validate the single-attribute OD `A^da → B^db` in `O(n log n)`:
-/// sort rows by `A`; within each equal-`A` run `B` must be constant, and
-/// the per-run `B` values must be monotone in the marked direction.
+/// Validate the single-attribute OD `A^da → B^db` in `O(n + |dom A|)`.
+///
+/// One pass over the rows records, per dictionary code of `A`, the code
+/// of `B` its run carries: ties on `A` force equality on `B` (both
+/// directions apply), so a second `B` code for one `A` code refutes the
+/// OD. A walk over `A`'s codes in structural rank order — the order of
+/// the values themselves — then checks that consecutive runs' `B` values
+/// are monotone in the marked direction, comparing numeric ranks (which
+/// are order-isomorphic to [`deptree_relation::Value::numeric_cmp`]).
 pub fn validate_single(r: &Relation, a: AttrId, da: Direction, b: AttrId, db: Direction) -> bool {
-    let order = r.sorted_rows(AttrSet::single(a));
-    let mut prev_run_b: Option<&Value> = None;
-    let mut i = 0usize;
-    while i < order.len() {
-        // Delimit the equal-A run.
-        let mut j = i + 1;
-        while j < order.len() && r.value(order[j], a) == r.value(order[i], a) {
-            j += 1;
-        }
-        let run_b = r.value(order[i], b);
-        // Ties on A force equality on B (both directions apply).
-        if order[i..j].iter().any(|&t| r.value(t, b) != run_b) {
+    const NO_RUN: u32 = u32::MAX;
+    let (col_a, col_b) = (r.col(a), r.col(b));
+    let mut run_b = vec![NO_RUN; col_a.dict().len()];
+    for (&ca, &cb) in col_a.codes().iter().zip(col_b.codes()) {
+        let slot = &mut run_b[ca as usize];
+        if *slot == NO_RUN {
+            *slot = cb;
+        } else if *slot != cb {
             return false;
         }
-        if let Some(pb) = prev_run_b {
-            // prev run has smaller A under Asc; check B direction.
-            let ord = pb.numeric_cmp(run_b);
-            let ok = match (da, db) {
-                (Direction::Asc, Direction::Asc) | (Direction::Desc, Direction::Desc) => {
-                    ord != std::cmp::Ordering::Greater
-                }
-                _ => ord != std::cmp::Ordering::Less,
-            };
-            if !ok {
+    }
+    let ix_a = col_a.index();
+    let mut by_rank = vec![NO_RUN; run_b.len()];
+    for code in 0..run_b.len() as u32 {
+        by_rank[ix_a.rank(code) as usize] = code;
+    }
+    let ix_b = col_b.index();
+    let ascending = matches!(
+        (da, db),
+        (Direction::Asc, Direction::Asc) | (Direction::Desc, Direction::Desc)
+    );
+    let mut prev: Option<u32> = None;
+    // Orphaned dictionary entries of `A` head no run and are skipped.
+    for cb in by_rank.into_iter().map(|ca| run_b[ca as usize]) {
+        if cb == NO_RUN {
+            continue;
+        }
+        let cur = ix_b.num_rank(cb);
+        if let Some(p) = prev {
+            if (ascending && p > cur) || (!ascending && p < cur) {
                 return false;
             }
         }
-        prev_run_b = Some(run_b);
-        i = j;
+        prev = Some(cur);
     }
     true
 }

@@ -37,6 +37,11 @@ impl fmt::Display for RelationError {
 
 impl std::error::Error for RelationError {}
 
+/// Largest key space, in bits per row, that [`Relation::distinct_count`]
+/// counts in a dense bitset: at 64 the bitset never outweighs the `u64`
+/// per row that the sort-and-dedup path would allocate instead.
+const DENSE_KEY_BITS_PER_ROW: u64 = 64;
+
 /// A relation instance: a schema plus dictionary-encoded columnar data.
 ///
 /// Each attribute is a [`Column`]: a `u32` code vector over a per-column
@@ -289,6 +294,13 @@ impl Relation {
 
     /// Number of distinct value combinations on `attrs`
     /// (`|dom(X)|_r` in the survey's SFD strength measure).
+    ///
+    /// Each row's code tuple is folded into one mixed-radix `u64` key over
+    /// the attributes' dictionary sizes; code equality is value equality,
+    /// so distinct keys are distinct value combinations. A key space of at
+    /// most 64 bits per row is counted in a dense bitset; a wider one by
+    /// sorting and deduplicating the per-row keys. Only a key space past
+    /// `u64` falls back to hash grouping.
     pub fn distinct_count(&self, attrs: AttrSet) -> usize {
         if attrs.is_empty() {
             return usize::from(self.n_rows > 0);
@@ -296,7 +308,39 @@ impl Relation {
         if compat::row_major() {
             return self.group_by_row_major(attrs).len();
         }
-        self.group_rows_by_codes(attrs).len()
+        let cols: Vec<(&[u32], u64)> = attrs
+            .iter()
+            .map(|a| (self.cols[a.0].codes(), self.cols[a.0].dict().len() as u64))
+            .collect();
+        let Some(radix) = cols
+            .iter()
+            .try_fold(1u64, |acc, &(_, size)| acc.checked_mul(size))
+        else {
+            return self.group_rows_by_codes(attrs).len();
+        };
+        // Horner form: every partial key stays below the product of the
+        // sizes folded so far, so no step overflows once `radix` fits.
+        let key = |row: usize| {
+            cols.iter()
+                .fold(0u64, |k, &(codes, size)| k * size + u64::from(codes[row]))
+        };
+        if radix <= DENSE_KEY_BITS_PER_ROW.saturating_mul(self.n_rows as u64) {
+            let mut seen = vec![0u64; radix.div_ceil(64) as usize];
+            let mut distinct = 0;
+            for row in 0..self.n_rows {
+                let k = key(row);
+                let (word, bit) = ((k / 64) as usize, 1u64 << (k % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
+                    distinct += 1;
+                }
+            }
+            return distinct;
+        }
+        let mut keys: Vec<u64> = (0..self.n_rows).map(key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.len()
     }
 
     /// Row indices sorted by the values of `attrs` (lexicographically, in

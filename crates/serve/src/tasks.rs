@@ -107,24 +107,29 @@ pub fn profile(r: &Relation, opts: &ProfileOpts, exec: &Exec) -> TaskReport {
     }
 
     let mut span = exec.span("profile.cords");
-    let c = cords::discover(
+    let c = cords::discover_bounded(
         r,
         &cords::CordsConfig {
             min_strength: 0.8,
             ..Default::default()
         },
+        exec,
     );
-    span.attr("sfds", c.sfds.len() as u64);
+    span.attr("sfds", c.result.sfds.len() as u64);
     drop(span);
+    exhausted = exhausted.or(c.exhausted);
     line!(
         buf,
-        "\n== soft FDs (CORDS, strength ≥ 0.8 on {}-row sample) — {} found ==",
-        c.sampled_rows,
-        c.sfds.len()
+        "\n== soft FDs (CORDS, strength ≥ 0.8 on {}-row sample) — {} found{} ==",
+        c.result.sampled_rows,
+        c.result.sfds.len(),
+        if c.complete { "" } else { ", search truncated" }
     );
-    for sfd in c.sfds.iter().take(10) {
+    let span = exec.span("profile.strength");
+    for sfd in c.result.sfds.iter().take(10) {
         line!(buf, "  {sfd} (strength {:.2})", sfd.strength(r));
     }
+    drop(span);
 
     let numeric = r
         .schema()

@@ -9,12 +9,13 @@
 #      `unwrap`/`expect` denied (fallible paths must return
 #      `DeptreeError`, not abort), then every target (tests, examples,
 #      benches) with `-D warnings`;
-#   3. tier-1: release build + the root test binaries, run twice — once
-#      serial (DEPTREE_THREADS=1) and once on an 8-worker pool
+#   3. tier-1: release build + every test in the workspace (the root
+#      test binaries and each member crate's unit tests), run twice —
+#      once serial (DEPTREE_THREADS=1) and once on an 8-worker pool
 #      (DEPTREE_THREADS=8) — so the thread-count-independence contract of
-#      the parallel miners is exercised on every gate; then the serial
-#      suite once more back-to-back, so a test that only passes on a
-#      fresh process (ordering or leftover-state luck) is caught here
+#      the parallel miners is exercised on every gate; then the root
+#      serial suite once more back-to-back, so a test that only passes on
+#      a fresh process (ordering or leftover-state luck) is caught here
 #      and not on a busy CI box;
 #   4. pairwise_scaling --smoke — tiny-size run of the blocking/index
 #      benchmark that asserts indexed candidate generation reproduces the
@@ -62,11 +63,11 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "== tier-1: build =="
 cargo build --release --quiet
 
-echo "== tier-1: tests (serial, DEPTREE_THREADS=1) =="
-DEPTREE_THREADS=1 cargo test -q
+echo "== tier-1: workspace tests (serial, DEPTREE_THREADS=1) =="
+DEPTREE_THREADS=1 cargo test --workspace -q
 
-echo "== tier-1: tests (parallel, DEPTREE_THREADS=8) =="
-DEPTREE_THREADS=8 cargo test -q
+echo "== tier-1: workspace tests (parallel, DEPTREE_THREADS=8) =="
+DEPTREE_THREADS=8 cargo test --workspace -q
 
 echo "== tier-1: tests (repeat run, flake gate) =="
 DEPTREE_THREADS=1 cargo test -q

@@ -6,7 +6,8 @@
 
 #![allow(dead_code)]
 
-use deptree::relation::{Relation, RelationBuilder, Value, ValueType};
+use deptree::core::Direction;
+use deptree::relation::{AttrId, AttrSet, Relation, RelationBuilder, Value, ValueType};
 use deptree::synth::Rng;
 
 /// Number of cases each property runs.
@@ -108,4 +109,49 @@ pub fn arbitrary_relation(rng: &mut Rng) -> Relation {
         );
     }
     b.build().expect("consistent arity")
+}
+
+/// Sort-based reference for `discovery::od::validate_single`: sort the
+/// rows by `A`; within each equal-`A` run `B` must be constant, and the
+/// per-run `B` values must be monotone in the marked direction under
+/// `numeric_cmp`. `O(n log n)` per candidate; the library validator
+/// reaches the same verdict in one pass over dictionary codes.
+pub fn od_validate_single_sorted(
+    r: &Relation,
+    a: AttrId,
+    da: Direction,
+    b: AttrId,
+    db: Direction,
+) -> bool {
+    let order = r.sorted_rows(AttrSet::single(a));
+    let mut prev_run_b: Option<&Value> = None;
+    let mut i = 0usize;
+    while i < order.len() {
+        // Delimit the equal-A run.
+        let mut j = i + 1;
+        while j < order.len() && r.value(order[j], a) == r.value(order[i], a) {
+            j += 1;
+        }
+        let run_b = r.value(order[i], b);
+        // Ties on A force equality on B (both directions apply).
+        if order[i..j].iter().any(|&t| r.value(t, b) != run_b) {
+            return false;
+        }
+        if let Some(pb) = prev_run_b {
+            // prev run has smaller A under Asc; check B direction.
+            let ord = pb.numeric_cmp(run_b);
+            let ok = match (da, db) {
+                (Direction::Asc, Direction::Asc) | (Direction::Desc, Direction::Desc) => {
+                    ord != std::cmp::Ordering::Greater
+                }
+                _ => ord != std::cmp::Ordering::Less,
+            };
+            if !ok {
+                return false;
+            }
+        }
+        prev_run_b = Some(run_b);
+        i = j;
+    }
+    true
 }

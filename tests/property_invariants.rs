@@ -548,9 +548,11 @@ mod observability_invariance {
     }
 
     /// The end-to-end profile report (the bytes the CLI prints and the
-    /// server returns) is byte-identical with and without a tracer.
+    /// server returns) is byte-identical with and without a tracer, and
+    /// the traced run covers every profile phase with a span.
     #[test]
     fn tracing_changes_no_profile_report_bytes() {
+        const PHASES: [&str; 3] = ["profile.tane", "profile.cords", "profile.strength"];
         for (mut rng, case) in cases(41).take(8) {
             let r = small_relation(&mut rng);
             let opts = ProfileOpts {
@@ -561,10 +563,20 @@ mod observability_invariance {
             for threads in [1usize, 8] {
                 for traced in [false, true] {
                     let mut exec = Exec::unbounded().with_threads(threads);
-                    if traced {
-                        exec = exec.with_tracer(Arc::new(Tracer::new()));
+                    let tracer = traced.then(|| Arc::new(Tracer::new()));
+                    if let Some(t) = &tracer {
+                        exec = exec.with_tracer(Arc::clone(t));
                     }
                     texts.push(tasks::profile(&r, &opts, &exec).text);
+                    if let Some(t) = tracer {
+                        let spans = t.spans();
+                        for phase in PHASES {
+                            assert!(
+                                spans.iter().any(|s| s.name == phase),
+                                "case {case}: traced profile recorded no {phase} span"
+                            );
+                        }
+                    }
                 }
             }
             assert!(
@@ -1122,6 +1134,279 @@ mod kernels {
                 );
             }
             assert_eq!(band_pairs_sorted(&nums, f64::NAN), 0, "case {case}: NaN θ");
+        }
+    }
+}
+
+/// Differential tests for the code-native kernels: the mixed-radix
+/// `distinct_count` against the row-major `group_by` reference, and the
+/// single-pass OD validator against the sort-based reference in `common`
+/// and the pairwise semantics of `Od::holds`.
+mod code_native_kernels {
+    use super::*;
+    use common::{arbitrary_relation, mixed_relation, od_validate_single_sorted};
+    use deptree::discovery::od::validate_single;
+    use deptree::relation::examples::{dataspace_cd, hotels_r1, hotels_r5, hotels_r6, hotels_r7};
+    use deptree::relation::{compat, RelationBuilder, Schema, Value, ValueType};
+
+    /// `|dom(X)|` by the frozen row-major grouping (Value-keyed hashing).
+    fn reference_distinct(r: &Relation, attrs: AttrSet) -> usize {
+        let _mode = compat::force_row_major();
+        r.group_by(attrs).len()
+    }
+
+    fn assert_distinct_on_every_subset(r: &Relation, label: &str) {
+        let n = r.n_attrs().min(6);
+        for bits in 0..(1u64 << n) {
+            let set = AttrSet::from_bits(bits);
+            assert_eq!(
+                r.distinct_count(set),
+                reference_distinct(r, set),
+                "{label}: distinct_count differs on {set:?}"
+            );
+        }
+    }
+
+    /// Product of the dictionary sizes of `attrs`, `None` on `u64` overflow.
+    fn key_space(r: &Relation, attrs: AttrSet) -> Option<u64> {
+        attrs
+            .iter()
+            .try_fold(1u64, |acc, a| acc.checked_mul(r.col(a).dict().len() as u64))
+    }
+
+    /// Numeric edge cells the dictionary must keep apart or together
+    /// exactly as `Value` equality does.
+    fn edge_relation() -> Relation {
+        let cells = [
+            Value::Null,
+            Value::float(f64::NAN),
+            Value::float(0.0),
+            Value::float(-0.0),
+            Value::int(2),
+            Value::float(2.0),
+            Value::str("2"),
+            Value::int(2),
+            Value::Null,
+            Value::float(f64::NAN),
+        ];
+        let mut b = RelationBuilder::new()
+            .attr("x", ValueType::Numeric)
+            .attr("y", ValueType::Numeric)
+            .attr("z", ValueType::Categorical);
+        for (i, v) in cells.iter().enumerate() {
+            b = b.row(vec![
+                v.clone(),
+                cells[(i * 3) % cells.len()].clone(),
+                Value::str(format!("g{}", i % 3)),
+            ]);
+        }
+        b.build().expect("consistent arity")
+    }
+
+    #[test]
+    fn distinct_count_equals_row_major_group_count() {
+        for (mut rng, case) in cases(70) {
+            let mut r = if case % 2 == 0 {
+                arbitrary_relation(&mut rng)
+            } else {
+                mixed_relation(&mut rng)
+            };
+            assert_distinct_on_every_subset(&r, &format!("case {case}"));
+            if r.n_rows() == 0 {
+                continue;
+            }
+            // Overwrites orphan dictionary entries: the key space keeps
+            // counting them, the distinct count must not.
+            for _ in 0..3 {
+                let row = rng.random_range(0..r.n_rows());
+                let attr = AttrId(rng.random_range(0..r.n_attrs()));
+                let v = r.value(rng.random_range(0..r.n_rows()), attr).clone();
+                r.set_value(row, attr, Value::str("orphan-maker"));
+                r.set_value(row, attr, v);
+            }
+            assert_distinct_on_every_subset(&r, &format!("case {case} after set"));
+            let rows: Vec<usize> = (0..r.n_rows())
+                .map(|_| rng.random_range(0..r.n_rows()))
+                .collect();
+            let s = r.select_rows(&rows);
+            assert_distinct_on_every_subset(&s, &format!("case {case} after select"));
+        }
+    }
+
+    #[test]
+    fn distinct_count_keeps_value_equality_on_numeric_edges() {
+        let mut r = edge_relation();
+        assert_distinct_on_every_subset(&r, "edges");
+        // Null, NaN, 0.0, -0.0, Int(2), Float(2.0) and "2": seven values.
+        assert_eq!(r.distinct_count(AttrSet::single(AttrId(0))), 7);
+        r.set_value(0, AttrId(0), Value::float(-1.5));
+        r.set_value(1, AttrId(1), Value::int(9));
+        assert_distinct_on_every_subset(&r, "edges after set");
+        let s = r.select_rows(&[9, 0, 4, 4, 5, 2]);
+        assert_distinct_on_every_subset(&s, "edges after select");
+    }
+
+    #[test]
+    fn distinct_count_of_empty_relation_and_empty_set() {
+        let schema = Schema::from_attrs([("a", ValueType::Categorical), ("b", ValueType::Numeric)]);
+        let empty = Relation::empty(schema).expect("small schema");
+        assert_distinct_on_every_subset(&empty, "empty relation");
+        assert_eq!(empty.distinct_count(empty.all_attrs()), 0);
+        assert_eq!(empty.distinct_count(AttrSet::empty()), 0);
+        let r = hotels_r1();
+        assert_eq!(r.distinct_count(AttrSet::empty()), 1);
+        assert_eq!(reference_distinct(&r, AttrSet::empty()), 1);
+    }
+
+    /// Key spaces wider than 64 bits per row take the sort-and-dedup path.
+    #[test]
+    fn distinct_count_sparse_key_space() {
+        let mut b = RelationBuilder::new();
+        for a in 0..3 {
+            b = b.attr(format!("k{a}"), ValueType::Numeric);
+        }
+        for i in 0..40i64 {
+            b = b.row(vec![
+                Value::int(i % 20),
+                Value::int((i * 7) % 20),
+                Value::int((i * 11) % 20),
+            ]);
+        }
+        let r = b.build().expect("consistent arity");
+        let all = r.all_attrs();
+        let space = key_space(&r, all).expect("fits u64");
+        assert!(space > 64 * r.n_rows() as u64, "key space {space} is dense");
+        assert_eq!(r.distinct_count(all), reference_distinct(&r, all));
+        assert_distinct_on_every_subset(&r, "sparse");
+    }
+
+    /// A key space past `u64` — 64 binary attributes, or 41 ternary ones —
+    /// falls back to hash grouping with the same answer.
+    #[test]
+    fn distinct_count_overflowing_key_space() {
+        for (width, domain) in [(64usize, 2i64), (41, 3)] {
+            let mut rng = deptree::synth::rng(width as u64);
+            let mut b = RelationBuilder::new();
+            for a in 0..width {
+                b = b.attr(format!("a{a}"), ValueType::Numeric);
+            }
+            // Every value occurs in every column, and two rows repeat.
+            let mut rows: Vec<Vec<Value>> = (0..domain)
+                .map(|v| (0..width).map(|_| Value::int(v)).collect())
+                .collect();
+            for _ in 0..12 {
+                rows.push(
+                    (0..width)
+                        .map(|_| Value::int(rng.random_range(0..domain)))
+                        .collect(),
+                );
+            }
+            rows.push(rows[domain as usize].clone());
+            rows.push(rows[0].clone());
+            for row in rows {
+                b = b.row(row);
+            }
+            let r = b.build().expect("consistent arity");
+            let all = r.all_attrs();
+            assert_eq!(
+                key_space(&r, all),
+                None,
+                "width {width}: key space fits u64"
+            );
+            assert_eq!(r.distinct_count(all), reference_distinct(&r, all));
+            assert_eq!(r.distinct_count(all), r.n_rows() - 2, "width {width}");
+        }
+    }
+
+    fn assert_od_validators_agree(r: &Relation, label: &str, check_holds: bool) {
+        let s = r.schema();
+        let dirs = [Direction::Asc, Direction::Desc];
+        for a in s.ids() {
+            for b in s.ids() {
+                if a == b {
+                    continue;
+                }
+                for da in dirs {
+                    for db in dirs {
+                        let fast = validate_single(r, a, da, b, db);
+                        assert_eq!(
+                            fast,
+                            od_validate_single_sorted(r, a, da, b, db),
+                            "{label}: validate_single differs from the sorted reference on \
+                             {a:?}^{da:?} -> {b:?}^{db:?}"
+                        );
+                        if check_holds {
+                            let od = Od::new(s, vec![(a, da)], vec![(b, db)]);
+                            assert_eq!(fast, od.holds(r), "{label}: {od}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn od_validator_equals_sorted_reference_and_holds() {
+        let tables = [
+            ("r1", hotels_r1()),
+            ("r5", hotels_r5()),
+            ("r6", hotels_r6()),
+            ("r7", hotels_r7()),
+            ("dataspace", dataspace_cd()),
+        ];
+        for (label, r) in &tables {
+            assert_od_validators_agree(r, label, true);
+        }
+        for (mut rng, case) in cases(71) {
+            let r = numeric_relation(&mut rng);
+            assert_od_validators_agree(&r, &format!("numeric case {case}"), true);
+            let r = arbitrary_relation(&mut rng);
+            assert_od_validators_agree(&r, &format!("arbitrary case {case}"), true);
+        }
+        // Numerically equal Int/Float cells are distinct runs to the
+        // validator (structural equality) but one run to `Od::holds`, so
+        // here only the two validators must agree.
+        assert_od_validators_agree(&edge_relation(), "edges", false);
+    }
+
+    /// Seeded monotone synthetics with ties on the LHS: the ODs hold until
+    /// one tied row breaks the run's constant RHS.
+    #[test]
+    fn od_validator_on_tied_monotone_synthetics() {
+        for seed in 0..8u64 {
+            let mut rng = deptree::synth::rng(seed);
+            let mut b = RelationBuilder::new()
+                .attr("a", ValueType::Numeric)
+                .attr("up", ValueType::Numeric)
+                .attr("down", ValueType::Numeric);
+            let rows: Vec<i64> = (0..200).map(|_| rng.random_range(0..40i64)).collect();
+            for &x in &rows {
+                b = b.row(vec![
+                    Value::int(x),
+                    Value::int(3 * x + 1),
+                    Value::float(-0.5 * x as f64),
+                ]);
+            }
+            let mut r = b.build().expect("consistent arity");
+            let (a, up, down) = (AttrId(0), AttrId(1), AttrId(2));
+            assert!(validate_single(&r, a, Direction::Asc, up, Direction::Asc));
+            assert!(validate_single(
+                &r,
+                a,
+                Direction::Asc,
+                down,
+                Direction::Desc
+            ));
+            assert!(validate_single(&r, a, Direction::Desc, up, Direction::Desc));
+            assert_od_validators_agree(&r, &format!("seed {seed}"), true);
+            // Break one tie: a row sharing another row's `a` gets a new `up`.
+            let (i, j) = (0..rows.len())
+                .flat_map(|i| (i + 1..rows.len()).map(move |j| (i, j)))
+                .find(|&(i, j)| rows[i] == rows[j])
+                .expect("200 draws from 40 values tie");
+            r.set_value(j, up, Value::int(3 * rows[i] + 2));
+            assert!(!validate_single(&r, a, Direction::Asc, up, Direction::Asc));
+            assert_od_validators_agree(&r, &format!("seed {seed} broken tie"), true);
         }
     }
 }
