@@ -100,118 +100,62 @@ impl Od {
         !Self::precedes(r, t1, t2, &self.lhs) || Self::precedes(r, t1, t2, &self.rhs)
     }
 
-    /// `O(n log n)` check for the single-atom case `A^da → B^db`.
+    /// `O(n + |dom A|)` check of the single-atom OD `A^da → B^db` — the
+    /// one implementation behind [`Dependency::holds`] on single-atom ODs
+    /// and behind single-attribute OD discovery.
     ///
-    /// Sort rows by `A` in the marked direction.  Within a run of
-    /// `A`-equal rows both pair orientations fire the premise, forcing
-    /// numeric `B`-equality; across runs `A` strictly precedes, so `B`
-    /// must be monotone in the marked direction — and since `numeric_cmp`
-    /// is a total order, checking consecutive run representatives suffices
-    /// by transitivity.  Returns `None` when either side is compound.
-    fn holds_sorted(&self, r: &Relation) -> Option<bool> {
-        let &[(a, da)] = &self.lhs[..] else {
-            return None;
-        };
-        let &[(b, db)] = &self.rhs[..] else {
-            return None;
-        };
-        if deptree_relation::compat::row_major() {
-            return self.holds_sorted_row_major(r, (a, da), (b, db));
-        }
-        // Columnar walk: each column's sorted-run index maps dictionary
-        // codes to `numeric_cmp` ranks (numerically equal entries share a
-        // rank), so the whole check is integer sorting and comparison.
-        // The within-run and cross-run logic mirrors the row-major
-        // reference below — rank (in)equality is exactly `numeric_cmp`
-        // (in)equality, and rank order is `numeric_cmp` order.
-        let ca = r.col(a);
-        let cb = r.col(b);
-        let (ia, ib) = (ca.index(), cb.index());
-        let n = r.n_rows();
-        let mut order: Vec<usize> = (0..n).collect();
-        match da {
-            Direction::Asc => order.sort_unstable_by_key(|&i| ia.num_rank(ca.code(i))),
-            Direction::Desc => {
-                order.sort_unstable_by_key(|&i| std::cmp::Reverse(ia.num_rank(ca.code(i))))
-            }
-        }
-        let mut start = 0;
-        let mut prev_rep: Option<u32> = None;
-        while start < n {
-            let head = order[start];
-            let run_a = ia.num_rank(ca.code(head));
-            let run_b = ib.num_rank(cb.code(head));
-            let mut end = start + 1;
-            while end < n && ia.num_rank(ca.code(order[end])) == run_a {
-                if ib.num_rank(cb.code(order[end])) != run_b {
-                    return Some(false);
-                }
-                end += 1;
-            }
-            if let Some(p) = prev_rep {
-                let ord = p.cmp(&run_b);
-                let ok = match db {
-                    Direction::Asc => ord != Ordering::Greater,
-                    Direction::Desc => ord != Ordering::Less,
-                };
-                if !ok {
-                    return Some(false);
-                }
-            }
-            prev_rep = Some(run_b);
-            start = end;
-        }
-        Some(true)
-    }
-
-    /// Frozen row-major reference for [`Od::holds_sorted`], kept callable
-    /// for the differential harness and the scaling baseline.
-    fn holds_sorted_row_major(
-        &self,
+    /// Rows tied on `A` fire the premise in both pair orientations, which
+    /// forces numeric `B`-equality; across distinct `A` values `B` must be
+    /// monotone in the marked direction, and since `numeric_cmp` is a total
+    /// preorder, checking consecutive `A` values suffices by transitivity.
+    /// Each column's sorted-run index maps dictionary codes to
+    /// `numeric_cmp` ranks (numerically equal values, such as `Int(2)` and
+    /// `Float(2.0)`, share one), so one pass over the rows records the `B`
+    /// rank each `A` rank carries and one walk over `A`'s ranks checks
+    /// the monotonicity.
+    pub fn holds_single_atom(
         r: &Relation,
         (a, da): (AttrId, Direction),
         (b, db): (AttrId, Direction),
-    ) -> Option<bool> {
-        let ca = r.column(a);
-        let cb = r.column(b);
-        let n = r.n_rows();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by(|&i, &j| {
-            let ord = ca[i].numeric_cmp(&ca[j]);
-            match da {
-                Direction::Asc => ord,
-                Direction::Desc => ord.reverse(),
+    ) -> bool {
+        const NO_RUN: u32 = u32::MAX;
+        let (col_a, col_b) = (r.col(a), r.col(b));
+        let (ix_a, ix_b) = (col_a.index(), col_b.index());
+        // Ranks are dense below the dictionary size.
+        let mut run_b = vec![NO_RUN; col_a.dict().len()];
+        for (&ca, &cb) in col_a.codes().iter().zip(col_b.codes()) {
+            let rank_b = ix_b.num_rank(cb);
+            let slot = &mut run_b[ix_a.num_rank(ca) as usize];
+            if *slot == NO_RUN {
+                *slot = rank_b;
+            } else if *slot != rank_b {
+                return false;
             }
-        });
-        let mut start = 0;
-        let mut prev_rep: Option<usize> = None;
-        while start < n {
-            let head = order[start];
-            let mut end = start + 1;
-            while end < n && ca[head].numeric_cmp(&ca[order[end]]) == Ordering::Equal {
-                if cb[head].numeric_cmp(&cb[order[end]]) != Ordering::Equal {
-                    return Some(false);
-                }
-                end += 1;
-            }
-            if let Some(p) = prev_rep {
-                let ord = cb[p].numeric_cmp(&cb[head]);
-                let ok = match db {
-                    Direction::Asc => ord != Ordering::Greater,
-                    Direction::Desc => ord != Ordering::Less,
-                };
-                if !ok {
-                    return Some(false);
-                }
-            }
-            prev_rep = Some(head);
-            start = end;
         }
-        Some(true)
+        let ascending = da == db;
+        let mut prev: Option<u32> = None;
+        // Ranks held only by orphaned dictionary entries head no run.
+        for &cur in run_b.iter().filter(|&&rank| rank != NO_RUN) {
+            if let Some(p) = prev {
+                if (ascending && p > cur) || (!ascending && p < cur) {
+                    return false;
+                }
+            }
+            prev = Some(cur);
+        }
+        true
+    }
+
+    /// The single-atom check when both sides hold one marked attribute.
+    fn single_atom_verdict(&self, r: &Relation) -> Option<bool> {
+        match (&self.lhs[..], &self.rhs[..]) {
+            (&[lhs], &[rhs]) => Some(Self::holds_single_atom(r, lhs, rhs)),
+            _ => None,
+        }
     }
 
     /// Reference all-pairs check; kept as the differential-test baseline
-    /// for the sorted fast path of [`Dependency::holds`].
+    /// for [`Od::holds_single_atom`].
     pub fn holds_naive(&self, r: &Relation) -> bool {
         r.row_pairs()
             .all(|(i, j)| self.pair_ok(r, i, j) && self.pair_ok(r, j, i))
@@ -224,16 +168,14 @@ impl Dependency for Od {
     }
 
     fn holds(&self, r: &Relation) -> bool {
-        match self.holds_sorted(r) {
-            Some(ans) => ans,
-            None => self.holds_naive(r),
-        }
+        self.single_atom_verdict(r)
+            .unwrap_or_else(|| self.holds_naive(r))
     }
 
     fn violations(&self, r: &Relation) -> Vec<Violation> {
-        // On clean single-atom data the sorted check settles it in
-        // O(n log n); the pair scan only runs when violations exist.
-        if self.holds_sorted(r) == Some(true) {
+        // On clean single-atom data the linear check settles it; the pair
+        // scan only runs when violations exist.
+        if self.single_atom_verdict(r) == Some(true) {
             return Vec::new();
         }
         let rhs_attrs: AttrSet = self.rhs.iter().map(|(a, _)| *a).collect();
@@ -341,9 +283,9 @@ mod tests {
     }
 
     #[test]
-    fn sorted_check_matches_naive_on_all_single_atom_ods() {
+    fn single_atom_check_matches_naive_on_all_single_atom_ods() {
         // Every (A^da → B^db) combination over r7 and perturbations of it:
-        // the sorted fast path must agree with the all-pairs check.
+        // the single-atom check must agree with the all-pairs check.
         let base = hotels_r7();
         let s = base.schema().clone();
         let mut variants = vec![base.clone()];

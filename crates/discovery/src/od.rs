@@ -1,6 +1,7 @@
 //! Order-dependency discovery (§4.2.3): a FASTOD-flavoured search that
-//! validates single-attribute candidates in one `O(n + |dom A|)` pass over
-//! dictionary codes, over the direction combinations of marked attributes.
+//! validates single-attribute candidates with the `O(n + |dom A|)`
+//! [`Od::holds_single_atom`] check, over the direction combinations of
+//! marked attributes.
 
 use deptree_core::engine::{Exec, Outcome};
 use deptree_core::{Dependency, Direction, Od};
@@ -17,54 +18,6 @@ impl Default for OdConfig {
     fn default() -> Self {
         OdConfig { max_lhs: 1 }
     }
-}
-
-/// Validate the single-attribute OD `A^da → B^db` in `O(n + |dom A|)`.
-///
-/// One pass over the rows records, per dictionary code of `A`, the code
-/// of `B` its run carries: ties on `A` force equality on `B` (both
-/// directions apply), so a second `B` code for one `A` code refutes the
-/// OD. A walk over `A`'s codes in structural rank order — the order of
-/// the values themselves — then checks that consecutive runs' `B` values
-/// are monotone in the marked direction, comparing numeric ranks (which
-/// are order-isomorphic to [`deptree_relation::Value::numeric_cmp`]).
-pub fn validate_single(r: &Relation, a: AttrId, da: Direction, b: AttrId, db: Direction) -> bool {
-    const NO_RUN: u32 = u32::MAX;
-    let (col_a, col_b) = (r.col(a), r.col(b));
-    let mut run_b = vec![NO_RUN; col_a.dict().len()];
-    for (&ca, &cb) in col_a.codes().iter().zip(col_b.codes()) {
-        let slot = &mut run_b[ca as usize];
-        if *slot == NO_RUN {
-            *slot = cb;
-        } else if *slot != cb {
-            return false;
-        }
-    }
-    let ix_a = col_a.index();
-    let mut by_rank = vec![NO_RUN; run_b.len()];
-    for code in 0..run_b.len() as u32 {
-        by_rank[ix_a.rank(code) as usize] = code;
-    }
-    let ix_b = col_b.index();
-    let ascending = matches!(
-        (da, db),
-        (Direction::Asc, Direction::Asc) | (Direction::Desc, Direction::Desc)
-    );
-    let mut prev: Option<u32> = None;
-    // Orphaned dictionary entries of `A` head no run and are skipped.
-    for cb in by_rank.into_iter().map(|ca| run_b[ca as usize]) {
-        if cb == NO_RUN {
-            continue;
-        }
-        let cur = ix_b.num_rank(cb);
-        if let Some(p) = prev {
-            if (ascending && p > cur) || (!ascending && p < cur) {
-                return false;
-            }
-        }
-        prev = Some(cur);
-    }
-    true
 }
 
 /// Cheap deterministic prefilter for compound candidates: scan all pairs
@@ -109,7 +62,7 @@ pub fn discover_bounded(r: &Relation, cfg: &OdConfig, exec: &Exec) -> Outcome<Ve
                 if !exec.tick_node() || !exec.tick_rows(r.n_rows() as u64) {
                     break 'single;
                 }
-                if validate_single(r, a, Direction::Asc, b, db) {
+                if Od::holds_single_atom(r, (a, Direction::Asc), (b, db)) {
                     out.push(Od::new(
                         r.schema(),
                         vec![(a, Direction::Asc)],
@@ -136,8 +89,8 @@ pub fn discover_bounded(r: &Relation, cfg: &OdConfig, exec: &Exec) -> Outcome<Ve
                         }
                         // Only report if neither single-attribute premise
                         // already suffices (minimality).
-                        if validate_single(r, a1, Direction::Asc, b, db)
-                            || validate_single(r, a2, Direction::Asc, b, db)
+                        if Od::holds_single_atom(r, (a1, Direction::Asc), (b, db))
+                            || Od::holds_single_atom(r, (a2, Direction::Asc), (b, db))
                         {
                             continue;
                         }
@@ -164,9 +117,10 @@ mod tests {
     use deptree_relation::{RelationBuilder, ValueType};
 
     #[test]
-    fn validator_agrees_with_pairwise_semantics() {
+    fn single_atom_discovery_equals_pairwise_semantics() {
         let r = hotels_r7();
         let s = r.schema();
+        let found = discover(&r, &OdConfig::default());
         let attrs: Vec<AttrId> = s.ids().collect();
         for &a in &attrs {
             for &b in &attrs {
@@ -175,11 +129,7 @@ mod tests {
                 }
                 for db in [Direction::Asc, Direction::Desc] {
                     let od = Od::new(s, vec![(a, Direction::Asc)], vec![(b, db)]);
-                    assert_eq!(
-                        validate_single(&r, a, Direction::Asc, b, db),
-                        od.holds(&r),
-                        "{od}"
-                    );
+                    assert_eq!(found.contains(&od), od.holds_naive(&r), "{od}");
                 }
             }
         }
@@ -215,12 +165,10 @@ mod tests {
             .build()
             .unwrap();
         let s = r.schema();
-        assert!(!validate_single(
+        assert!(!Od::holds_single_atom(
             &r,
-            s.id("a"),
-            Direction::Asc,
-            s.id("b"),
-            Direction::Asc
+            (s.id("a"), Direction::Asc),
+            (s.id("b"), Direction::Asc)
         ));
     }
 
@@ -239,19 +187,15 @@ mod tests {
             .build()
             .unwrap();
         let s = r.schema();
-        assert!(!validate_single(
+        assert!(!Od::holds_single_atom(
             &r,
-            s.id("a1"),
-            Direction::Asc,
-            s.id("b"),
-            Direction::Asc
+            (s.id("a1"), Direction::Asc),
+            (s.id("b"), Direction::Asc)
         ));
-        assert!(!validate_single(
+        assert!(!Od::holds_single_atom(
             &r,
-            s.id("a2"),
-            Direction::Asc,
-            s.id("b"),
-            Direction::Asc
+            (s.id("a2"), Direction::Asc),
+            (s.id("b"), Direction::Asc)
         ));
         let found = discover(&r, &OdConfig { max_lhs: 2 });
         let compound = found

@@ -230,20 +230,17 @@ impl PartitionCache {
                 // (recursively) from the cache, so a warm level costs one
                 // product. The product itself picks a strategy: the radix
                 // kernel splits the left parent directly on `a`'s code
-                // vector; when the dictionary is too wide for it (or
-                // row-major compat is forced), fall back to materializing
-                // `π_a` and the probe-table product. Both strategies are
-                // byte-identical by construction and by property test.
+                // vector; when the dictionary is too wide for it, fall back
+                // to materializing `π_a` and the probe-table product. Both
+                // strategies are byte-identical by construction and by
+                // property test.
                 let Some(split) = attrs.max() else {
                     return (Arc::new(StrippedPartition::identity(r.n_rows())), delta);
                 };
                 let (left, d1) = self.get_or_compute(r, attrs.remove(split));
                 delta = delta.merge(d1);
-                let radix = if crate::compat::row_major() {
-                    None
-                } else {
-                    SCRATCH.with(|s| left.product_with_column(r.col(split), &mut s.borrow_mut()))
-                };
+                let radix =
+                    SCRATCH.with(|s| left.product_with_column(r.col(split), &mut s.borrow_mut()));
                 match radix {
                     Some(p) => {
                         self.radix_products.fetch_add(1, Ordering::Relaxed);
@@ -469,25 +466,38 @@ mod tests {
 
     #[test]
     fn product_strategy_counters_track_paths() {
-        let _mode = crate::compat::test_mode_lock();
         let r = rel();
         let cache = PartitionCache::new();
-        let (p, _) = cache.get_or_compute(&r, ids(&[0, 1]));
+        cache.get_or_compute(&r, ids(&[0, 1]));
         assert_eq!(
             (cache.radix_products(), cache.hash_products()),
             (1, 0),
             "tiny dictionaries take the radix kernel"
         );
-        let row_major = crate::compat::force_row_major();
-        let rm_cache = PartitionCache::new();
-        let (q, _) = rm_cache.get_or_compute(&r, ids(&[0, 1]));
-        drop(row_major);
+        // `key` repeats on two rows only, and `id` has 1099 distinct
+        // values: a dictionary too wide for either radix strategy over a
+        // two-row partition, so the product falls back to the probe table.
+        let mut b = RelationBuilder::new()
+            .attr("key", ValueType::Categorical)
+            .attr("id", ValueType::Numeric);
+        for i in 0..1100i64 {
+            let key = if i < 2 {
+                "dup".to_string()
+            } else {
+                format!("k{i}")
+            };
+            b = b.row(vec![crate::Value::Str(key), i.max(1).into()]);
+        }
+        let wide = b.build().expect("consistent arity");
+        let wide_cache = PartitionCache::new();
+        let (p, _) = wide_cache.get_or_compute(&wide, ids(&[0, 1]));
         assert_eq!(
-            (rm_cache.radix_products(), rm_cache.hash_products()),
+            (wide_cache.radix_products(), wide_cache.hash_products()),
             (0, 1),
-            "row-major compat forces the probe-table fallback"
+            "a wide dictionary takes the probe-table fallback"
         );
-        assert_eq!(*p, *q, "both strategies produce the same partition");
+        assert_eq!(*p, StrippedPartition::from_attrs(&wide, ids(&[0, 1])));
+        assert_eq!(p.classes(), &[vec![0, 1]]);
     }
 
     #[test]

@@ -130,153 +130,6 @@ impl ColumnIndex {
     }
 }
 
-/// Bit-packed code vector: every row's dictionary code stored in a fixed
-/// lane of 1, 2, 4, 8 or 16 bits — the narrowest power-of-two width that
-/// holds the largest dictionary code. Lane widths divide 64, so no code
-/// ever straddles a word boundary and decoding is one load + shift + mask.
-///
-/// Built lazily ([`Column::packed_codes`]) and only for dictionaries of at
-/// most 65536 entries; wider dictionaries gain nothing over the plain
-/// `u32` vector. The packed view is a pure re-encoding of
-/// [`Column::codes`]: `get(row) == codes()[row]` for every row — the
-/// round-trip property the kernel suites pin down.
-#[derive(Debug, Clone)]
-pub struct PackedCodes {
-    words: Vec<u64>,
-    /// Lane width in bits: 1, 2, 4, 8 or 16.
-    width: u32,
-    /// `log2(64 / width)` — lanes per word is a power of two, so row →
-    /// (word, lane) splits into a shift and a mask instead of a division.
-    pw_shift: u32,
-    /// Lane mask: `width` low bits set.
-    mask: u64,
-    len: usize,
-}
-
-/// Largest dictionary for which a packed view is built (16-bit lanes).
-pub const PACKED_CODES_MAX_DICT: usize = 1 << 16;
-
-impl PackedCodes {
-    /// Pack `codes` given the dictionary size (which bounds every code).
-    /// Returns `None` when the dictionary exceeds 16-bit lanes.
-    pub fn build(codes: &[u32], dict_len: usize) -> Option<PackedCodes> {
-        if dict_len > PACKED_CODES_MAX_DICT {
-            return None;
-        }
-        let width = Self::width_for(dict_len);
-        let per_word = 64 / width as usize;
-        let mut words = vec![0u64; codes.len().div_ceil(per_word)];
-        for (row, &code) in codes.iter().enumerate() {
-            let shift = (row % per_word) as u32 * width;
-            words[row / per_word] |= u64::from(code) << shift;
-        }
-        Some(PackedCodes {
-            words,
-            width,
-            pw_shift: (per_word as u32).trailing_zeros(),
-            mask: (1u64 << width) - 1,
-            len: codes.len(),
-        })
-    }
-
-    /// Narrowest lane width (1/2/4/8/16 bits) holding codes `< dict_len`.
-    fn width_for(dict_len: usize) -> u32 {
-        let max_code = dict_len.saturating_sub(1) as u64;
-        [1u32, 2, 4, 8, 16]
-            .into_iter()
-            .find(|&w| w == 64 || max_code < (1u64 << w))
-            .unwrap_or(16)
-    }
-
-    /// Lane width in bits.
-    #[inline]
-    pub fn width_bits(&self) -> u32 {
-        self.width
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the view holds no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Decode one row's code.
-    #[inline]
-    pub fn get(&self, row: usize) -> u32 {
-        debug_assert!(row < self.len);
-        let lane = row & ((1usize << self.pw_shift) - 1);
-        let shift = lane as u32 * self.width;
-        ((self.words[row >> self.pw_shift] >> shift) & self.mask) as u32
-    }
-
-    /// Decode every row in order, one word load per `64/width` rows —
-    /// the branch-light scan the grouping kernels drive. The iterator
-    /// buffers the current word and shifts it in place, so a lane costs a
-    /// mask, a shift, and a countdown — no per-lane indexing.
-    #[inline]
-    pub fn iter(&self) -> PackedCodesIter<'_> {
-        PackedCodesIter {
-            words: self.words.iter(),
-            cur: 0,
-            lanes_left: 0,
-            per_word: 1 << self.pw_shift,
-            width: self.width,
-            mask: self.mask,
-            remaining: self.len,
-        }
-    }
-
-    /// Resident footprint of the packed words.
-    pub fn approx_bytes(&self) -> u64 {
-        (self.words.len() * std::mem::size_of::<u64>()) as u64
-    }
-}
-
-/// In-order decoder over a [`PackedCodes`] vector (see
-/// [`PackedCodes::iter`]).
-pub struct PackedCodesIter<'a> {
-    words: std::slice::Iter<'a, u64>,
-    cur: u64,
-    lanes_left: u32,
-    per_word: u32,
-    width: u32,
-    mask: u64,
-    remaining: usize,
-}
-
-impl Iterator for PackedCodesIter<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if self.remaining == 0 {
-            return None;
-        }
-        if self.lanes_left == 0 {
-            self.cur = *self.words.next()?;
-            self.lanes_left = self.per_word;
-        }
-        let v = (self.cur & self.mask) as u32;
-        self.cur >>= self.width;
-        self.lanes_left -= 1;
-        self.remaining -= 1;
-        Some(v)
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for PackedCodesIter<'_> {}
-
 /// Packed numeric views of a column, built lazily on first request.
 #[derive(Debug, Clone)]
 enum Packed {
@@ -311,13 +164,11 @@ pub struct Column {
     n_nulls: usize,
     /// Lazy sorted-run index; invalidated by mutation.
     index: OnceLock<ColumnIndex>,
-    /// Lazy row-major compatibility view; invalidated by mutation.
+    /// Lazy `Value` slice view; invalidated by mutation.
     values: OnceLock<Vec<Value>>,
     /// Lazy packed numeric views; invalidated by mutation.
     packed_f64: OnceLock<Packed>,
     packed_i64: OnceLock<PackedInt>,
-    /// Lazy bit-packed code view (`None` inside = dictionary too wide).
-    packed_codes: OnceLock<Option<PackedCodes>>,
 }
 
 impl Clone for Column {
@@ -334,7 +185,6 @@ impl Clone for Column {
             values: OnceLock::new(),
             packed_f64: OnceLock::new(),
             packed_i64: OnceLock::new(),
-            packed_codes: OnceLock::new(),
         }
     }
 }
@@ -429,7 +279,6 @@ impl Column {
         self.values.take();
         self.packed_f64.take();
         self.packed_i64.take();
-        self.packed_codes.take();
     }
 
     fn find_or_insert(
@@ -568,7 +417,7 @@ impl Column {
         self.index.get_or_init(|| ColumnIndex::build(&self.dict))
     }
 
-    /// Row-major compatibility view: the column as a `Value` slice.
+    /// The column as a `Value` slice.
     /// Materialized (cloning every cell) on first use; prefer code-based
     /// access on hot paths.
     pub fn values(&self) -> &[Value] {
@@ -599,16 +448,6 @@ impl Column {
             Packed::F64(v) => Some(v),
             Packed::None => None,
         }
-    }
-
-    /// Bit-packed code view: `Some` iff the dictionary fits 16-bit lanes
-    /// (≤ [`PACKED_CODES_MAX_DICT`] entries). Built on first use; a pure
-    /// re-encoding of [`Column::codes`] in 1/2/4/8/16-bit lanes that cuts
-    /// memory bandwidth for narrow dictionaries on grouping/blocking scans.
-    pub fn packed_codes(&self) -> Option<&PackedCodes> {
-        self.packed_codes
-            .get_or_init(|| PackedCodes::build(&self.codes, self.dict.len()))
-            .as_ref()
     }
 
     /// Packed `i64` view: `Some` iff every non-null cell is an `Int`.
@@ -664,9 +503,6 @@ impl Column {
         }
         if let Some(PackedInt::I64(v)) = self.packed_i64.get() {
             total += (v.len() * std::mem::size_of::<i64>()) as u64;
-        }
-        if let Some(Some(p)) = self.packed_codes.get() {
-            total += p.approx_bytes();
         }
         total
     }
@@ -858,24 +694,6 @@ mod tests {
         b.set(0, Value::str("x"));
         b.set(1, Value::str("y"));
         assert_eq!(a, b, "same cells, different dictionaries");
-    }
-
-    #[test]
-    fn packed_codes_round_trip_and_widths() {
-        let mut c = Column::new();
-        for i in 0..300u32 {
-            c.push(Value::int(i64::from(i % 3)));
-        }
-        let p = c.packed_codes().expect("narrow dictionary packs");
-        assert_eq!(p.width_bits(), 2, "3 codes fit 2-bit lanes");
-        for (row, &code) in c.codes().iter().enumerate() {
-            assert_eq!(p.get(row), code);
-        }
-        let before = c.approx_bytes();
-        c.set(0, Value::int(99));
-        assert!(c.packed_codes().is_some(), "rebuilt after mutation");
-        assert_eq!(c.packed_codes().map(|p| p.get(0)), Some(c.code(0)));
-        let _ = before;
     }
 
     #[test]

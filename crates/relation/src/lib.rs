@@ -25,7 +25,6 @@
 mod attrset;
 mod cache;
 pub mod column;
-pub mod compat;
 mod csv;
 pub mod examples;
 pub mod pairgen;
@@ -36,7 +35,7 @@ mod value;
 
 pub use attrset::AttrSet;
 pub use cache::{CacheDelta, PartitionCache};
-pub use column::{Column, ColumnIndex, PackedCodes, PackedCodesIter, PACKED_CODES_MAX_DICT};
+pub use column::{Column, ColumnIndex};
 pub use csv::{parse_csv, parse_csv_lossy, to_csv, CsvError, LossyCsv, ParseIssue};
 pub use partition::{ProductScratch, StrippedPartition};
 pub use relation::{Relation, RelationBuilder, RelationError};

@@ -170,13 +170,9 @@ impl PairIndex {
     /// sweeps sort one value per *distinct* code, and the edit index
     /// renders each distinct value once instead of once per row. Class
     /// construction visits rows in order, so classes, links and candidate
-    /// enumeration are identical to the `Value`-slice builder — which
-    /// remains the row-major reference, reachable via
-    /// [`crate::compat::force_row_major`].
+    /// enumeration are identical to the `Value`-slice builder
+    /// [`PairIndex::build`].
     pub fn build_attr(rel: &Relation, attr: AttrId, spec: PairSpec) -> Self {
-        if crate::compat::row_major() {
-            return Self::build(rel.column(attr), spec);
-        }
         let col = rel.col(attr);
         match spec {
             PairSpec::Eq => Self::build_eq_codes(col),
@@ -562,8 +558,8 @@ impl PairIndex {
 
     /// Rows whose q-gram indexing was served by an already-indexed distinct
     /// dictionary entry (the repeated-string win of the distinct-value edit
-    /// builder). 0 for every other index kind and for the row-major
-    /// reference builder.
+    /// builder). 0 for every other index kind and for the `Value`-slice
+    /// builder [`PairIndex::build`].
     pub fn distinct_gram_hits(&self) -> u64 {
         self.distinct_gram_hits
     }
@@ -672,13 +668,11 @@ fn structural_classes(col: &[Value]) -> Vec<Vec<usize>> {
 /// [`structural_classes`] from dictionary codes: no `Value` hashing, one
 /// array slot per code.  Identical output — a code *is* a structural-
 /// equality class id, and both walks visit rows in ascending order.
-/// Narrow dictionaries stream the bit-packed code view instead of the
-/// `u32` vector; the decoded codes are identical.
 fn code_classes(col: &Column) -> Vec<Vec<usize>> {
     const NO_CLASS: u32 = u32::MAX;
     let mut class_of: Vec<u32> = vec![NO_CLASS; col.dict().len()];
     let mut classes: Vec<Vec<usize>> = Vec::new();
-    let mut classify = |row: usize, code: u32| {
+    for (row, &code) in col.codes().iter().enumerate() {
         let cls = if class_of[code as usize] != NO_CLASS {
             class_of[code as usize] as usize
         } else {
@@ -687,18 +681,6 @@ fn code_classes(col: &Column) -> Vec<Vec<usize>> {
             classes.len() - 1
         };
         classes[cls].push(row);
-    };
-    match col.packed_codes() {
-        Some(packed) => {
-            for (row, code) in packed.iter().enumerate() {
-                classify(row, code);
-            }
-        }
-        None => {
-            for (row, &code) in col.codes().iter().enumerate() {
-                classify(row, code);
-            }
-        }
     }
     classes
 }
@@ -1202,7 +1184,6 @@ mod tests {
     #[test]
     fn distinct_gram_hits_count_repeated_strings() {
         use crate::{RelationBuilder, ValueType};
-        let _mode = crate::compat::test_mode_lock();
         let mut b = RelationBuilder::new().attr("s", ValueType::Categorical);
         for i in 0..40 {
             b = b.row(vec![Value::Str(format!("name-{}", i % 8))]);
@@ -1211,9 +1192,7 @@ mod tests {
         let s = r.schema().attr_id("s").expect("s");
         let idx = PairIndex::build_attr(&r, s, PairSpec::Edit(1));
         assert_eq!(idx.distinct_gram_hits(), 32, "40 rows over 8 distinct");
-        let row_major = crate::compat::force_row_major();
-        let reference = PairIndex::build_attr(&r, s, PairSpec::Edit(1));
-        drop(row_major);
+        let reference = PairIndex::build(r.column(s), PairSpec::Edit(1));
         assert_eq!(reference.distinct_gram_hits(), 0, "reference counts none");
         assert_eq!(idx.classes(), reference.classes());
         assert_eq!(idx.links(), reference.links());

@@ -35,34 +35,12 @@ impl StrippedPartition {
     /// Partition by one attribute's column.
     ///
     /// Buckets rows by dictionary code — structural equality of cells is
-    /// code equality — so no `Value` is hashed or compared. The frozen
-    /// row-major grouping stays reachable through
-    /// [`crate::compat::force_row_major`] for the differential harness;
-    /// both paths canonicalize through `from_groups`, so the results are
-    /// identical by construction *and* by test.
+    /// code equality — so no `Value` is hashed or compared.
     pub fn from_column(rel: &Relation, attr: crate::AttrId) -> Self {
-        if crate::compat::row_major() {
-            let mut groups: HashMap<&crate::Value, Vec<usize>> = HashMap::new();
-            for (row, v) in rel.column(attr).iter().enumerate() {
-                groups.entry(v).or_default().push(row);
-            }
-            return Self::from_groups(groups.into_values(), rel.n_rows());
-        }
         let col = rel.col(attr);
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); col.dict().len()];
-        // Narrow dictionaries scan through the bit-packed code view: the
-        // decoded codes are identical, only the bytes streamed differ.
-        match col.packed_codes() {
-            Some(packed) => {
-                for (row, code) in packed.iter().enumerate() {
-                    buckets[code as usize].push(row);
-                }
-            }
-            None => {
-                for (row, &code) in col.codes().iter().enumerate() {
-                    buckets[code as usize].push(row);
-                }
-            }
+        for (row, &code) in col.codes().iter().enumerate() {
+            buckets[code as usize].push(row);
         }
         Self::from_groups(buckets, rel.n_rows())
     }
@@ -72,10 +50,8 @@ impl StrippedPartition {
         if attrs.is_empty() {
             return Self::identity(rel.n_rows());
         }
-        if !crate::compat::row_major() {
-            if let Some(p) = Self::from_codes_radix(rel, attrs) {
-                return p;
-            }
+        if let Some(p) = Self::from_codes_radix(rel, attrs) {
+            return p;
         }
         Self::from_groups(rel.group_by(attrs).into_values(), rel.n_rows())
     }
@@ -113,17 +89,8 @@ impl StrippedPartition {
         let mut keys = vec![0u32; n];
         for c in &cols {
             let d = c.dict().len().max(1) as u64;
-            match c.packed_codes() {
-                Some(packed) => {
-                    for (k, code) in keys.iter_mut().zip(packed.iter()) {
-                        *k = (u64::from(*k) * d + u64::from(code)) as u32;
-                    }
-                }
-                None => {
-                    for (k, &code) in keys.iter_mut().zip(c.codes()) {
-                        *k = (u64::from(*k) * d + u64::from(code)) as u32;
-                    }
-                }
+            for (k, &code) in keys.iter_mut().zip(c.codes()) {
+                *k = (u64::from(*k) * d + u64::from(code)) as u32;
             }
         }
         let mut count = vec![0u32; domain];

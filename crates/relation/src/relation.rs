@@ -2,7 +2,6 @@
 
 use crate::attrset::AttrSet;
 use crate::column::Column;
-use crate::compat;
 use crate::schema::{AttrId, Schema, ValueType};
 use crate::value::Value;
 use std::collections::HashMap;
@@ -46,7 +45,7 @@ const DENSE_KEY_BITS_PER_ROW: u64 = 64;
 ///
 /// Each attribute is a [`Column`]: a `u32` code vector over a per-column
 /// dictionary of distinct [`Value`]s, a null bitmap, and lazily built
-/// sorted-run / packed-numeric / row-major views (see the [`crate::column`]
+/// sorted-run / packed-numeric / `Value`-slice views (see the [`crate::column`]
 /// module docs). Cell access through [`Relation::value`] is two array
 /// loads; the code-level accessors ([`Relation::col`]) are what the hot
 /// paths of partitioning, grouping and pair blocking consume.
@@ -262,9 +261,6 @@ impl Relation {
     /// on dictionary codes; the `Value` keys are materialized once per
     /// distinct group, not once per row.
     pub fn group_by(&self, attrs: AttrSet) -> HashMap<Vec<Value>, Vec<usize>> {
-        if compat::row_major() {
-            return self.group_by_row_major(attrs);
-        }
         let cols: Vec<&Column> = attrs.iter().map(|a| &self.cols[a.0]).collect();
         self.group_rows_by_codes(attrs)
             .into_iter()
@@ -279,19 +275,6 @@ impl Relation {
             .collect()
     }
 
-    /// Frozen row-major reference for [`Relation::group_by`], kept callable
-    /// for the differential harness.
-    fn group_by_row_major(&self, attrs: AttrSet) -> HashMap<Vec<Value>, Vec<usize>> {
-        let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for row in 0..self.n_rows {
-            groups
-                .entry(self.project_row(row, attrs))
-                .or_default()
-                .push(row);
-        }
-        groups
-    }
-
     /// Number of distinct value combinations on `attrs`
     /// (`|dom(X)|_r` in the survey's SFD strength measure).
     ///
@@ -304,9 +287,6 @@ impl Relation {
     pub fn distinct_count(&self, attrs: AttrSet) -> usize {
         if attrs.is_empty() {
             return usize::from(self.n_rows > 0);
-        }
-        if compat::row_major() {
-            return self.group_by_row_major(attrs).len();
         }
         let cols: Vec<(&[u32], u64)> = attrs
             .iter()
@@ -351,19 +331,6 @@ impl Relation {
     /// order, so the result is identical to sorting on the values.
     pub fn sorted_rows(&self, attrs: AttrSet) -> Vec<usize> {
         let mut rows: Vec<usize> = (0..self.n_rows).collect();
-        if compat::row_major() {
-            let attr_list: Vec<AttrId> = attrs.to_vec();
-            rows.sort_by(|&a, &b| {
-                for &attr in &attr_list {
-                    let ord = self.cols[attr.0].value(a).cmp(self.cols[attr.0].value(b));
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            return rows;
-        }
         let keys: Vec<(&[u32], &crate::column::ColumnIndex)> = attrs
             .iter()
             .map(|a| (self.cols[a.0].codes(), self.cols[a.0].index()))
@@ -670,25 +637,5 @@ mod tests {
             r.push_row_texts(&["too", "many", "cells"]),
             Err(RelationError::ArityMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn row_major_mode_changes_nothing() {
-        let _mode = crate::compat::test_mode_lock();
-        let r = sample();
-        let attrs = r.all_attrs();
-        let fast = (
-            r.group_by(attrs),
-            r.sorted_rows(attrs),
-            r.distinct_count(attrs),
-        );
-        let guard = crate::compat::force_row_major();
-        let slow = (
-            r.group_by(attrs),
-            r.sorted_rows(attrs),
-            r.distinct_count(attrs),
-        );
-        drop(guard);
-        assert_eq!(fast, slow);
     }
 }

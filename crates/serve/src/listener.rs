@@ -279,7 +279,7 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, DeptreeError> {
     for (name, r) in config.datasets {
         // Resident-footprint gauge per table: the columnar estimate at
         // preload. The router refreshes it after each task, when lazy
-        // views (sorted runs, bit-packed codes) have materialized.
+        // views (sorted runs, packed numerics) have materialized.
         telemetry::dataset_bytes(&name).set(r.approx_bytes() as i64);
         datasets.insert(name, r);
     }

@@ -21,10 +21,12 @@
 #      benchmark that asserts indexed candidate generation reproduces the
 #      naive pair scans exactly (MD discovery, DC evidence, dedup);
 #   5. columnar_scaling --smoke + the columnar_equivalence suite at
-#      DEPTREE_THREADS=1 and =8 — the dictionary-encoded relation core
-#      must be byte-identical to the frozen row-major reference paths on
-#      every task, and the interning CSV parse must allocate less than a
-#      row-materializing one;
+#      DEPTREE_THREADS=1 and =8 — the smoke run asserts every columnar
+#      kernel equal to its reference function in
+#      tests/common/reference.rs and that the interning CSV parse
+#      allocates less than a row-materializing one; the suite diffs every
+#      task's output against the frozen goldens in
+#      tests/snapshots/columnar_equivalence/;
 #   6. serve_loadgen --smoke — boot the three-phase keep-alive benchmark
 #      at a reduced size and require that connection reuse beats
 #      close-per-request, the response cache actually hits, and a cached
@@ -75,10 +77,10 @@ DEPTREE_THREADS=1 cargo test -q
 echo "== pairwise_scaling smoke (indexed ≡ naive) =="
 cargo run --release --quiet --bin pairwise_scaling -- --smoke
 
-echo "== columnar_scaling smoke (columnar ≡ row-major, interned parse allocates less) =="
+echo "== columnar_scaling smoke (columnar ≡ reference, interned parse allocates less) =="
 cargo run --release --quiet --bin columnar_scaling -- --smoke
 
-echo "== columnar equivalence suite (serial + 8-thread pools) =="
+echo "== columnar equivalence suite vs frozen goldens (serial + 8-thread pools) =="
 DEPTREE_THREADS=1 cargo test -q --test columnar_equivalence
 DEPTREE_THREADS=8 cargo test -q --test columnar_equivalence
 

@@ -1,20 +1,20 @@
-//! Columnar ↔ row-major differential harness.
+//! Byte-identity harness for the columnar relation core.
 //!
-//! The columnar relation core keeps the pre-columnar row-oriented
-//! algorithms alive behind [`compat::force_row_major`] as a frozen
-//! reference. This suite is the gate on that design: every discovery and
-//! quality task must render **byte-identical** output on the fast
-//! columnar paths and on the row-major reference — at 1/2/8 threads,
-//! under tight node and row budgets (sound partials included), across
-//! the paper's worked examples, seeded synthetics and
-//! fault-plan-corrupted CSVs. Deadline budgets cut at a
-//! timing-dependent point, so they are checked for soundness instead of
-//! bytes.
+//! Every discovery and quality task must render exactly the bytes stored
+//! in `tests/snapshots/columnar_equivalence/` — at 1/2/8 threads, under
+//! tight node and row budgets (sound partials included), across the
+//! paper's worked examples, seeded synthetics and fault-plan-corrupted
+//! CSVs. The goldens were rendered by the row-oriented `Value`-slice
+//! algorithms the columnar kernels replaced, and are frozen: a change
+//! that alters them changes results, and must say so. Each kernel is
+//! also checked against its `Value`-level reference in
+//! `tests/common/reference.rs` by the property suite. Deadline budgets
+//! cut at a timing-dependent point, so they are checked for soundness
+//! instead of bytes.
 //!
-//! The mode flag is process-global; sections that force row-major hold a
-//! lock so two tests never fight over the flag. The contract that makes
-//! a race harmless anyway — both paths produce identical bytes — is
-//! exactly what this suite proves.
+//! A golden file holds one section per label: a header line
+//! `=== <label> [<n> bytes] ===`, then exactly `n` bytes of output and a
+//! newline.
 
 mod common;
 
@@ -23,40 +23,94 @@ use deptree::core::{Dependency, NedAtom};
 use deptree::discovery::{dc, dd, fastfd, md, ned, od, tane};
 use deptree::metrics::Metric;
 use deptree::relation::examples::{dataspace_cd, hotels_r1, hotels_r5, hotels_r6, hotels_r7};
-use deptree::relation::{compat, parse_csv_lossy, to_csv, AttrSet, Relation, ValueType};
+use deptree::relation::{parse_csv_lossy, to_csv, AttrSet, Relation, ValueType};
 use deptree::serve::tasks::{self, ProfileOpts};
 use deptree::synth::fault::FaultPlan;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::sync::Mutex;
 use std::time::Duration;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `f` with the row-major reference paths forced on, serialized so
-/// concurrent tests in this binary don't toggle the flag mid-run.
-fn row_major<T>(f: impl FnOnce() -> T) -> T {
-    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _mode = compat::force_row_major();
-    f()
+/// The frozen output of one test, keyed by label.
+struct Goldens {
+    file: String,
+    sections: BTreeMap<String, String>,
+    checked: RefCell<BTreeSet<String>>,
 }
 
-/// The core assertion: `render` must produce the same bytes on the
-/// columnar paths and the row-major reference, at every thread count.
-fn assert_equiv(label: &str, budget: &Budget, render: &dyn Fn(&Exec) -> String) {
-    let base = render(&Exec::new(budget.clone()).with_threads(1));
-    for threads in THREADS {
-        let exec = Exec::new(budget.clone()).with_threads(threads);
-        assert_eq!(
-            render(&exec),
-            base,
-            "{label}: columnar output drifts at {threads} thread(s)"
+impl Goldens {
+    fn load(test: &str) -> Goldens {
+        let file = format!(
+            "{}/tests/snapshots/columnar_equivalence/{test}.txt",
+            env!("CARGO_MANIFEST_DIR")
         );
-        let slow = row_major(|| render(&Exec::new(budget.clone()).with_threads(threads)));
-        assert_eq!(
-            slow, base,
-            "{label}: row-major reference differs at {threads} thread(s)"
+        let text = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("cannot read golden file {file}: {e}"));
+        let mut sections = BTreeMap::new();
+        let mut rest = text.as_str();
+        while !rest.is_empty() {
+            let (header, body) = rest
+                .split_once('\n')
+                .unwrap_or_else(|| panic!("{file}: truncated section header"));
+            let (label, len) = header
+                .strip_prefix("=== ")
+                .and_then(|h| h.strip_suffix(" bytes] ==="))
+                .and_then(|h| h.rsplit_once(" ["))
+                .unwrap_or_else(|| panic!("{file}: malformed header {header:?}"));
+            let len: usize = len
+                .parse()
+                .unwrap_or_else(|e| panic!("{file}: bad length in {header:?}: {e}"));
+            let out = body
+                .get(..len)
+                .unwrap_or_else(|| panic!("{file}: section {label:?} is truncated"));
+            assert!(
+                sections
+                    .insert(label.to_string(), out.to_string())
+                    .is_none(),
+                "{file}: duplicate section {label:?}"
+            );
+            rest = body[len..]
+                .strip_prefix('\n')
+                .unwrap_or_else(|| panic!("{file}: section {label:?} lacks its newline"));
+        }
+        Goldens {
+            file,
+            sections,
+            checked: RefCell::new(BTreeSet::new()),
+        }
+    }
+
+    /// The core assertion: `render` must produce the golden bytes for
+    /// `label` at every thread count.
+    fn check(&self, label: &str, budget: &Budget, render: &dyn Fn(&Exec) -> String) {
+        let want = self
+            .sections
+            .get(label)
+            .unwrap_or_else(|| panic!("{}: no golden section {label:?}", self.file));
+        for threads in THREADS {
+            let got = render(&Exec::new(budget.clone()).with_threads(threads));
+            assert_eq!(
+                &got, want,
+                "{label}: output differs from the golden at {threads} thread(s)"
+            );
+        }
+        self.checked.borrow_mut().insert(label.to_string());
+    }
+
+    /// Every golden section was checked: none is stale.
+    fn assert_all_checked(&self) {
+        let checked = self.checked.borrow();
+        let stale: Vec<&String> = self
+            .sections
+            .keys()
+            .filter(|k| !checked.contains(*k))
+            .collect();
+        assert!(
+            stale.is_empty(),
+            "{}: unchecked sections {stale:?}",
+            self.file
         );
     }
 }
@@ -237,6 +291,7 @@ fn corrupted_relations() -> Vec<(String, Relation)> {
 
 #[test]
 fn profile_is_byte_identical_on_paper_tables() {
+    let goldens = Goldens::load("profile_is_byte_identical_on_paper_tables");
     for (label, r) in paper_tables() {
         for opts in [
             ProfileOpts {
@@ -248,67 +303,77 @@ fn profile_is_byte_identical_on_paper_tables() {
                 error: 0.1,
             },
         ] {
-            assert_equiv(
+            goldens.check(
                 &format!("profile {label} ε={}", opts.error),
                 &Budget::default(),
                 &|exec| render_profile(&r, &opts, exec),
             );
         }
     }
+    goldens.assert_all_checked();
 }
 
 #[test]
 fn profile_is_byte_identical_on_synthetics_and_corrupted_csvs() {
+    let goldens = Goldens::load("profile_is_byte_identical_on_synthetics_and_corrupted_csvs");
     let opts = ProfileOpts {
         max_lhs: 2,
         error: 0.0,
     };
     for (label, r) in seeded_synthetics().into_iter().chain(corrupted_relations()) {
-        assert_equiv(&format!("profile {label}"), &Budget::default(), &|exec| {
+        goldens.check(&format!("profile {label}"), &Budget::default(), &|exec| {
             render_profile(&r, &opts, exec)
         });
     }
+    goldens.assert_all_checked();
 }
 
 #[test]
 fn miners_are_byte_identical_on_paper_tables() {
+    let goldens = Goldens::load("miners_are_byte_identical_on_paper_tables");
     for (label, r) in paper_tables() {
-        assert_equiv(&format!("miners {label}"), &Budget::default(), &|exec| {
+        goldens.check(&format!("miners {label}"), &Budget::default(), &|exec| {
             render_miners(&r, exec)
         });
     }
+    goldens.assert_all_checked();
 }
 
 #[test]
 fn miners_are_byte_identical_on_synthetics_and_corrupted_csvs() {
+    let goldens = Goldens::load("miners_are_byte_identical_on_synthetics_and_corrupted_csvs");
     for (label, r) in seeded_synthetics().into_iter().chain(corrupted_relations()) {
-        assert_equiv(&format!("miners {label}"), &Budget::default(), &|exec| {
+        goldens.check(&format!("miners {label}"), &Budget::default(), &|exec| {
             render_miners(&r, exec)
         });
     }
+    goldens.assert_all_checked();
 }
 
 #[test]
 fn quality_tasks_are_byte_identical_everywhere() {
+    let goldens = Goldens::load("quality_tasks_are_byte_identical_everywhere");
     let all = paper_tables()
         .into_iter()
         .chain(seeded_synthetics())
         .chain(corrupted_relations());
     for (label, r) in all {
-        assert_equiv(&format!("quality {label}"), &Budget::default(), &|exec| {
+        goldens.check(&format!("quality {label}"), &Budget::default(), &|exec| {
             render_quality(&r, exec)
         });
     }
+    goldens.assert_all_checked();
 }
 
 // ---------------------------------------------------------------------
 // Byte-identity: budget-truncated partials. Node and row budgets are
 // deterministic by the engine's reservation contract, so the *partial*
-// output must also match byte-for-byte across modes and thread counts.
+// output must also match byte-for-byte at every thread count.
 // ---------------------------------------------------------------------
 
 #[test]
 fn budget_truncated_partials_are_byte_identical() {
+    let goldens = Goldens::load("budget_truncated_partials_are_byte_identical");
     let opts = ProfileOpts {
         max_lhs: 3,
         error: 0.0,
@@ -326,65 +391,48 @@ fn budget_truncated_partials_are_byte_identical() {
     ];
     for (dlabel, r) in &datasets {
         for (blabel, budget) in &budgets {
-            assert_equiv(
+            goldens.check(
                 &format!("partial profile {dlabel} {blabel}"),
                 budget,
                 &|exec| render_profile(r, &opts, exec),
             );
-            assert_equiv(
+            goldens.check(
                 &format!("partial miners {dlabel} {blabel}"),
                 budget,
                 &|exec| render_miners(r, exec),
             );
         }
     }
+    goldens.assert_all_checked();
 }
 
 // ---------------------------------------------------------------------
 // Deadline budgets cut at a timing-dependent point: only soundness is
-// required, in both modes.
+// required, on the sequential and on the parallel executor.
 // ---------------------------------------------------------------------
 
 #[test]
 fn deadline_partials_are_sound_in_both_modes() {
     let r = hotels_r6();
-    let check = || {
+    for threads in [1, 8] {
         for deadline_ms in [0u64, 1, 5] {
             let budget = Budget::default().with_deadline(Duration::from_millis(deadline_ms));
+            let exec = || Exec::new(budget.clone()).with_threads(threads);
             let out = tane::discover_bounded(
                 &r,
                 &tane::TaneConfig {
                     max_lhs: 3,
                     max_error: 0.0,
                 },
-                &Exec::new(budget.clone()),
+                &exec(),
             );
             for fd in &out.result.fds {
                 assert!(fd.holds(&r), "unsound FD {fd} from a deadline partial");
             }
-            let ods = od::discover_bounded(&r, &od::OdConfig { max_lhs: 2 }, &Exec::new(budget));
+            let ods = od::discover_bounded(&r, &od::OdConfig { max_lhs: 2 }, &exec());
             for o in &ods.result {
                 assert!(o.holds(&r), "unsound OD {o} from a deadline partial");
             }
         }
-    };
-    check();
-    row_major(check);
-}
-
-// ---------------------------------------------------------------------
-// The compatibility contract itself: flipping the mode mid-stream never
-// changes what a consumer computes, only which code computed it.
-// ---------------------------------------------------------------------
-
-#[test]
-fn mode_flag_is_invisible_to_results() {
-    let mut rng = deptree::synth::rng(0x5EED);
-    for _ in 0..8 {
-        let r = common::mixed_relation(&mut rng);
-        r.debug_validate();
-        let fast = render_miners(&r, &Exec::unbounded());
-        let slow = row_major(|| render_miners(&r, &Exec::unbounded()));
-        assert_eq!(fast, slow);
     }
 }

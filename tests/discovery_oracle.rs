@@ -529,146 +529,3 @@ fn g3_is_monotone_in_lhs_growth() {
         }
     }
 }
-
-/// The frozen row-major reference paths (forced via `compat`) must satisfy
-/// the same oracles as the columnar defaults — one representative case per
-/// family (FD/AFD/MD/DD/NED/OD/DC), serial and parallel. Together with the
-/// columnar runs above this closes the differential triangle: oracle ≡
-/// columnar ≡ row-major. Other tests in this binary may observe the flag
-/// while this one holds it; both paths are contractually byte-identical,
-/// so that only affects their speed.
-#[test]
-fn oracles_agree_in_row_major_compat_mode() {
-    use deptree::relation::compat;
-    let _guard = compat::force_row_major();
-
-    // FD (exact) and AFD (g3 ≤ ε) against the brute-force oracle.
-    for (label, r, eps) in [
-        ("r6 row-major", hotels_r6(), 0.0),
-        ("r7 row-major", hotels_r7(), 0.0),
-        (
-            "synthetic row-major ε=0.05",
-            synthetic(101, 200, 0.02),
-            0.05,
-        ),
-    ] {
-        let want = oracle(&r, eps);
-        for threads in [1, 8] {
-            assert_eq!(
-                tane_fds(&r, eps, threads),
-                want,
-                "{label}: TANE vs oracle at {threads} thread(s)"
-            );
-            if eps == 0.0 {
-                assert_eq!(
-                    fastfd_fds(&r, threads),
-                    want,
-                    "{label}: FastFD vs oracle at {threads} thread(s)"
-                );
-            }
-        }
-    }
-
-    // MD: indexed discovery vs the naive pair scan, bit-exact scores.
-    let r = entities_relation(41, 40);
-    let rhs = AttrSet::single(r.schema().id("name"));
-    let cfg = md::MdConfig {
-        min_support: 0.0,
-        min_confidence: 0.5,
-        thresholds_per_attr: 2,
-        max_lhs: 2,
-    };
-    let want = render_scored_mds(&md::discover_naive(&r, rhs, &cfg));
-    for threads in [1, 8] {
-        let out = md::discover_bounded(&r, rhs, &cfg, &Exec::unbounded().with_threads(threads));
-        assert!(out.complete, "row-major MD run must complete");
-        assert_eq!(
-            render_scored_mds(&out.result),
-            want,
-            "row-major MD vs naive at {threads} thread(s)"
-        );
-    }
-
-    // DD: indexed vs naive.
-    let r = entities_relation(53, 35);
-    let cfg = dd::DdConfig {
-        thresholds_per_attr: 3,
-        min_support: 2,
-        max_lhs: 1,
-    };
-    let want: Vec<String> = dd::discover_naive(&r, &cfg)
-        .iter()
-        .map(|d| d.to_string())
-        .collect();
-    for threads in [1, 8] {
-        let out = dd::discover_bounded(&r, &cfg, &Exec::unbounded().with_threads(threads));
-        assert!(out.complete, "row-major DD run must complete");
-        let got: Vec<String> = out.result.iter().map(|d| d.to_string()).collect();
-        assert_eq!(got, want, "row-major DD vs naive at {threads} thread(s)");
-    }
-
-    // NED: index-backed scoring vs the pair scan on a paper table.
-    let r = hotels_r6();
-    let s = r.schema();
-    let attrs: Vec<_> = s.ids().collect();
-    for &a in &attrs {
-        for &b in &attrs {
-            if a == b {
-                continue;
-            }
-            let ma = Metric::default_for(s.ty(a));
-            let mb = Metric::default_for(s.ty(b));
-            for ta in dd::candidate_thresholds(&r, a, &ma, 2) {
-                for tb in dd::candidate_thresholds(&r, b, &mb, 2) {
-                    let ned = Ned::new(
-                        s,
-                        vec![NedAtom::new(a, ma.clone(), ta)],
-                        vec![NedAtom::new(b, mb.clone(), tb)],
-                    );
-                    let fast = ned.support_confidence(&r);
-                    let slow = ned.support_confidence_naive(&r);
-                    assert_eq!(fast.0, slow.0, "row-major support of {ned}");
-                    assert_eq!(
-                        fast.1.to_bits(),
-                        slow.1.to_bits(),
-                        "row-major confidence of {ned}"
-                    );
-                }
-            }
-        }
-    }
-
-    // OD: sorted validation vs the naive pair scan.
-    let r = hotels_r7();
-    let s = r.schema();
-    let attrs: Vec<_> = s.ids().collect();
-    for &a in &attrs {
-        for &b in &attrs {
-            if a == b {
-                continue;
-            }
-            for db in [Direction::Asc, Direction::Desc] {
-                let o = Od::new(s, vec![(a, Direction::Asc)], vec![(b, db)]);
-                assert_eq!(o.holds(&r), o.holds_naive(&r), "row-major {o}");
-            }
-        }
-    }
-
-    // DC: blocked evidence multiset vs the naive scan.
-    let r = synthetic(13, 80, 0.05);
-    let preds = dc::predicate_space(&r);
-    let mut nstats = dc::FastDcStats::default();
-    let want = dc::evidence_sets(&r, &preds, &mut nstats);
-    for threads in [1, 8] {
-        let mut stats = dc::FastDcStats::default();
-        let (got, complete) = dc::evidence_sets_blocked(
-            &r,
-            &preds,
-            &mut stats,
-            &Exec::unbounded().with_threads(threads),
-        );
-        assert!(complete, "row-major DC run must complete");
-        assert_eq!(got, want, "row-major evidence at {threads} thread(s)");
-        assert_eq!(stats.pairs_evaluated, nstats.pairs_evaluated);
-    }
-}

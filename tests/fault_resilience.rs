@@ -256,31 +256,6 @@ fn csv_faults_flow_through_lossy_parse_into_every_class() {
     }
 }
 
-/// The same matrix with the frozen row-major reference paths forced via
-/// `compat`: every class on every scenario, no panics, sound partials —
-/// corrupted data must not be able to tell the two storage modes apart.
-#[test]
-fn every_class_survives_every_fault_scenario_in_row_major_mode() {
-    use deptree::relation::compat;
-    let _guard = compat::force_row_major();
-    let mut rng = Rng::seed_from_u64(0xFA18);
-    let base = common::mixed_relation(&mut rng);
-    for (name, plan) in FaultPlan::scenarios(0xBAD5EED, 0.4) {
-        let report = plan.apply(&base);
-        let r = &report.relation;
-        r.debug_validate();
-        for kind in DepKind::ALL {
-            exercise(kind, r);
-        }
-        exercise_quality(r);
-        assert_eq!(
-            report.relation,
-            plan.apply(&base).relation,
-            "scenario {name} must be deterministic in row-major mode"
-        );
-    }
-}
-
 /// Sanity: a clean relation through an empty plan is untouched, and the
 /// exercisers accept it too (the matrix isn't vacuous).
 #[test]

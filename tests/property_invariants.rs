@@ -268,10 +268,9 @@ mod numeric {
         }
     }
 
-    /// The single-attribute OD validator agrees with pairwise holds.
+    /// The single-atom OD check agrees with the pairwise semantics.
     #[test]
     fn od_validator_correct() {
-        use deptree::discovery::od::validate_single;
         for (mut rng, case) in cases(12) {
             let r = numeric_relation(&mut rng);
             let s = r.schema();
@@ -282,8 +281,8 @@ mod numeric {
             };
             let od = Od::new(s, vec![(AttrId(0), Direction::Asc)], vec![(AttrId(1), dir)]);
             assert_eq!(
-                validate_single(&r, AttrId(0), Direction::Asc, AttrId(1), dir),
-                od.holds(&r),
+                Od::holds_single_atom(&r, (AttrId(0), Direction::Asc), (AttrId(1), dir)),
+                od.holds_naive(&r),
                 "case {case}"
             );
         }
@@ -932,7 +931,7 @@ mod kernels {
     use super::*;
     use common::arbitrary_relation;
     use deptree::relation::pairgen::{band_pairs_sorted, PairIndex, PairSpec};
-    use deptree::relation::{PackedCodes, PartitionCache, ProductScratch, PACKED_CODES_MAX_DICT};
+    use deptree::relation::{PartitionCache, ProductScratch};
 
     /// The counting-sort (radix) partition product agrees with the
     /// hash-probe product and with a from-scratch computation on every
@@ -1017,51 +1016,6 @@ mod kernels {
         }
     }
 
-    /// Bit-packed code vectors round-trip at every lane width, across the
-    /// dictionary-size boundaries where the width changes (255/256/257,
-    /// 65535/65536/65537), and degrade to `None` — never a wrong value —
-    /// beyond the 16-bit ceiling.
-    #[test]
-    fn packed_codes_round_trip_all_widths_and_boundaries() {
-        let boundary_dicts = [
-            1usize, 2, 3, 4, 5, 15, 16, 17, 255, 256, 257, 65535, 65536, 65537,
-        ];
-        for &d in &boundary_dicts {
-            let n = d + 37;
-            let codes: Vec<u32> = (0..n).map(|i| (i % d) as u32).collect();
-            let packed = PackedCodes::build(&codes, d);
-            if d > PACKED_CODES_MAX_DICT {
-                assert!(packed.is_none(), "dict {d}: packing beyond 16-bit ceiling");
-                continue;
-            }
-            let packed = packed.unwrap_or_else(|| panic!("dict {d}: packing refused"));
-            let expected_width = [1u32, 2, 4, 8, 16]
-                .into_iter()
-                .find(|w| (d as u64 - 1) < (1u64 << w))
-                .unwrap_or_else(|| panic!("dict {d}: no lane width"));
-            assert_eq!(packed.width_bits(), expected_width, "dict {d}: wrong lane");
-            assert_eq!(packed.len(), n, "dict {d}: length drift");
-            for (i, &c) in codes.iter().enumerate() {
-                assert_eq!(packed.get(i), c, "dict {d}: row {i} corrupted");
-            }
-        }
-        // Through a live column: the lazy view must agree with the plain
-        // code vector on arbitrary relations (nulls, mutation orphans).
-        for (mut rng, case) in cases(62) {
-            let r = arbitrary_relation(&mut rng);
-            for a in r.schema().ids() {
-                let col = r.col(a);
-                let Some(p) = col.packed_codes() else {
-                    continue;
-                };
-                assert_eq!(p.len(), col.len(), "case {case}: packed length");
-                for (i, &c) in col.codes().iter().enumerate() {
-                    assert_eq!(p.get(i), c, "case {case}: packed code drift at {i}");
-                }
-            }
-        }
-    }
-
     /// The distinct-value q-gram edit index generates exactly the candidate
     /// set of the per-row reference builder: same classes, same links, same
     /// enumeration order — the columnar build only deduplicates *work*,
@@ -1138,22 +1092,18 @@ mod kernels {
     }
 }
 
-/// Differential tests for the code-native kernels: the mixed-radix
-/// `distinct_count` against the row-major `group_by` reference, and the
-/// single-pass OD validator against the sort-based reference in `common`
-/// and the pairwise semantics of `Od::holds`.
+/// Differential tests for the code-native kernels: every relation kernel
+/// against its `Value`-level counterpart in `common::reference`, and the
+/// single-atom OD check against the sort-based reference and the
+/// pairwise semantics of `Od::holds_naive`.
 mod code_native_kernels {
     use super::*;
-    use common::{arbitrary_relation, mixed_relation, od_validate_single_sorted};
-    use deptree::discovery::od::validate_single;
+    use common::reference;
+    use common::{arbitrary_relation, mixed_relation};
+    use deptree::discovery::od;
     use deptree::relation::examples::{dataspace_cd, hotels_r1, hotels_r5, hotels_r6, hotels_r7};
-    use deptree::relation::{compat, RelationBuilder, Schema, Value, ValueType};
-
-    /// `|dom(X)|` by the frozen row-major grouping (Value-keyed hashing).
-    fn reference_distinct(r: &Relation, attrs: AttrSet) -> usize {
-        let _mode = compat::force_row_major();
-        r.group_by(attrs).len()
-    }
+    use deptree::relation::pairgen::{PairIndex, PairSpec};
+    use deptree::relation::{parse_csv, RelationBuilder, Schema, Value, ValueType};
 
     fn assert_distinct_on_every_subset(r: &Relation, label: &str) {
         let n = r.n_attrs().min(6);
@@ -1161,7 +1111,7 @@ mod code_native_kernels {
             let set = AttrSet::from_bits(bits);
             assert_eq!(
                 r.distinct_count(set),
-                reference_distinct(r, set),
+                reference::distinct_count(r, set),
                 "{label}: distinct_count differs on {set:?}"
             );
         }
@@ -1203,47 +1153,153 @@ mod code_native_kernels {
         b.build().expect("consistent arity")
     }
 
+    /// A random arbitrary or mixed relation, the same relation after
+    /// overwrites that orphan dictionary entries, and a resampled row
+    /// selection of it — each labelled.
+    fn random_variants(rng: &mut Rng, case: u64) -> Vec<(String, Relation)> {
+        let mut r = if case.is_multiple_of(2) {
+            arbitrary_relation(rng)
+        } else {
+            mixed_relation(rng)
+        };
+        let mut out = vec![(format!("case {case}"), r.clone())];
+        if r.n_rows() == 0 {
+            return out;
+        }
+        for _ in 0..3 {
+            let row = rng.random_range(0..r.n_rows());
+            let attr = AttrId(rng.random_range(0..r.n_attrs()));
+            let v = r.value(rng.random_range(0..r.n_rows()), attr).clone();
+            r.set_value(row, attr, Value::str("orphan-maker"));
+            r.set_value(row, attr, v);
+        }
+        let rows: Vec<usize> = (0..r.n_rows())
+            .map(|_| rng.random_range(0..r.n_rows()))
+            .collect();
+        let selected = r.select_rows(&rows);
+        out.push((format!("case {case} after set"), r));
+        out.push((format!("case {case} after select"), selected));
+        out
+    }
+
+    /// [`edge_relation`], after overwrites, and after a row selection.
+    fn edge_variants() -> Vec<(String, Relation)> {
+        let mut r = edge_relation();
+        let mut out = vec![("edges".to_string(), r.clone())];
+        r.set_value(0, AttrId(0), Value::float(-1.5));
+        r.set_value(1, AttrId(1), Value::int(9));
+        out.push((
+            "edges after select".to_string(),
+            r.select_rows(&[9, 0, 4, 4, 5, 2]),
+        ));
+        out.push(("edges after set".to_string(), r));
+        out
+    }
+
     #[test]
     fn distinct_count_equals_row_major_group_count() {
+        // Overwrites orphan dictionary entries: the key space keeps
+        // counting them, the distinct count must not.
         for (mut rng, case) in cases(70) {
-            let mut r = if case % 2 == 0 {
-                arbitrary_relation(&mut rng)
-            } else {
-                mixed_relation(&mut rng)
-            };
-            assert_distinct_on_every_subset(&r, &format!("case {case}"));
-            if r.n_rows() == 0 {
-                continue;
+            for (label, r) in random_variants(&mut rng, case) {
+                assert_distinct_on_every_subset(&r, &label);
             }
-            // Overwrites orphan dictionary entries: the key space keeps
-            // counting them, the distinct count must not.
-            for _ in 0..3 {
-                let row = rng.random_range(0..r.n_rows());
-                let attr = AttrId(rng.random_range(0..r.n_attrs()));
-                let v = r.value(rng.random_range(0..r.n_rows()), attr).clone();
-                r.set_value(row, attr, Value::str("orphan-maker"));
-                r.set_value(row, attr, v);
-            }
-            assert_distinct_on_every_subset(&r, &format!("case {case} after set"));
-            let rows: Vec<usize> = (0..r.n_rows())
-                .map(|_| rng.random_range(0..r.n_rows()))
-                .collect();
-            let s = r.select_rows(&rows);
-            assert_distinct_on_every_subset(&s, &format!("case {case} after select"));
         }
     }
 
     #[test]
     fn distinct_count_keeps_value_equality_on_numeric_edges() {
-        let mut r = edge_relation();
-        assert_distinct_on_every_subset(&r, "edges");
         // Null, NaN, 0.0, -0.0, Int(2), Float(2.0) and "2": seven values.
-        assert_eq!(r.distinct_count(AttrSet::single(AttrId(0))), 7);
-        r.set_value(0, AttrId(0), Value::float(-1.5));
-        r.set_value(1, AttrId(1), Value::int(9));
-        assert_distinct_on_every_subset(&r, "edges after set");
-        let s = r.select_rows(&[9, 0, 4, 4, 5, 2]);
-        assert_distinct_on_every_subset(&s, "edges after select");
+        assert_eq!(
+            edge_relation().distinct_count(AttrSet::single(AttrId(0))),
+            7
+        );
+        for (label, r) in edge_variants() {
+            assert_distinct_on_every_subset(&r, &label);
+        }
+    }
+
+    fn assert_same_index(fast: &PairIndex, want: &PairIndex, label: &str) {
+        assert_eq!(fast.classes(), want.classes(), "{label}: classes");
+        assert_eq!(fast.links(), want.links(), "{label}: links");
+        assert_eq!(
+            (fast.is_indexed(), fast.is_exact(), fast.n_candidates()),
+            (want.is_indexed(), want.is_exact(), want.n_candidates()),
+            "{label}: index shape"
+        );
+        let pairs = |idx: &PairIndex| {
+            let mut out = Vec::new();
+            idx.for_each_candidate(|i, j| {
+                out.push((i, j));
+                true
+            });
+            out
+        };
+        assert_eq!(pairs(fast), pairs(want), "{label}: candidate order");
+    }
+
+    fn assert_kernels_match_references(r: &Relation, label: &str) {
+        let n = r.n_attrs().min(6);
+        for bits in 0..(1u64 << n) {
+            let set = AttrSet::from_bits(bits);
+            assert_eq!(
+                r.group_by(set),
+                reference::group_by(r, set),
+                "{label}: group_by {set:?}"
+            );
+            assert_eq!(
+                r.sorted_rows(set),
+                reference::sorted_rows(r, set),
+                "{label}: sorted_rows {set:?}"
+            );
+            assert_eq!(
+                r.distinct_count(set),
+                reference::distinct_count(r, set),
+                "{label}: distinct_count {set:?}"
+            );
+            assert_eq!(
+                StrippedPartition::from_attrs(r, set),
+                reference::partition_of_attrs(r, set),
+                "{label}: from_attrs {set:?}"
+            );
+        }
+        for a in r.schema().ids() {
+            assert_eq!(
+                StrippedPartition::from_column(r, a),
+                reference::partition_of_column(r, a),
+                "{label}: from_column {a:?}"
+            );
+            for spec in [
+                PairSpec::Eq,
+                PairSpec::Band(0.0),
+                PairSpec::Band(2.5),
+                PairSpec::Edit(0),
+                PairSpec::Edit(1),
+                PairSpec::Edit(2),
+            ] {
+                assert_same_index(
+                    &PairIndex::build_attr(r, a, spec),
+                    &reference::pair_index(r, a, spec),
+                    &format!("{label}: build_attr {a:?} {spec:?}"),
+                );
+            }
+        }
+    }
+
+    /// Every relation kernel — grouping, sorting, distinct counting,
+    /// partitioning and pair blocking — equals its `Value`-level reference
+    /// on adversarial, mixed and numeric-edge relations, including after
+    /// mutation and row selection.
+    #[test]
+    fn kernels_equal_value_level_references() {
+        for (label, r) in edge_variants() {
+            assert_kernels_match_references(&r, &label);
+        }
+        for (mut rng, case) in cases(72) {
+            for (label, r) in random_variants(&mut rng, case) {
+                assert_kernels_match_references(&r, &label);
+            }
+        }
     }
 
     #[test]
@@ -1255,7 +1311,7 @@ mod code_native_kernels {
         assert_eq!(empty.distinct_count(AttrSet::empty()), 0);
         let r = hotels_r1();
         assert_eq!(r.distinct_count(AttrSet::empty()), 1);
-        assert_eq!(reference_distinct(&r, AttrSet::empty()), 1);
+        assert_eq!(reference::distinct_count(&r, AttrSet::empty()), 1);
     }
 
     /// Key spaces wider than 64 bits per row take the sort-and-dedup path.
@@ -1276,7 +1332,7 @@ mod code_native_kernels {
         let all = r.all_attrs();
         let space = key_space(&r, all).expect("fits u64");
         assert!(space > 64 * r.n_rows() as u64, "key space {space} is dense");
-        assert_eq!(r.distinct_count(all), reference_distinct(&r, all));
+        assert_eq!(r.distinct_count(all), reference::distinct_count(&r, all));
         assert_distinct_on_every_subset(&r, "sparse");
     }
 
@@ -1313,12 +1369,12 @@ mod code_native_kernels {
                 None,
                 "width {width}: key space fits u64"
             );
-            assert_eq!(r.distinct_count(all), reference_distinct(&r, all));
+            assert_eq!(r.distinct_count(all), reference::distinct_count(&r, all));
             assert_eq!(r.distinct_count(all), r.n_rows() - 2, "width {width}");
         }
     }
 
-    fn assert_od_validators_agree(r: &Relation, label: &str, check_holds: bool) {
+    fn assert_od_validators_agree(r: &Relation, label: &str) {
         let s = r.schema();
         let dirs = [Direction::Asc, Direction::Desc];
         for a in s.ids() {
@@ -1328,17 +1384,15 @@ mod code_native_kernels {
                 }
                 for da in dirs {
                     for db in dirs {
-                        let fast = validate_single(r, a, da, b, db);
+                        let fast = Od::holds_single_atom(r, (a, da), (b, db));
                         assert_eq!(
                             fast,
-                            od_validate_single_sorted(r, a, da, b, db),
-                            "{label}: validate_single differs from the sorted reference on \
+                            reference::od_single_atom_sorted(r, (a, da), (b, db)),
+                            "{label}: holds_single_atom differs from the sorted reference on \
                              {a:?}^{da:?} -> {b:?}^{db:?}"
                         );
-                        if check_holds {
-                            let od = Od::new(s, vec![(a, da)], vec![(b, db)]);
-                            assert_eq!(fast, od.holds(r), "{label}: {od}");
-                        }
+                        let od = Od::new(s, vec![(a, da)], vec![(b, db)]);
+                        assert_eq!(fast, od.holds_naive(r), "{label}: {od}");
                     }
                 }
             }
@@ -1353,20 +1407,36 @@ mod code_native_kernels {
             ("r6", hotels_r6()),
             ("r7", hotels_r7()),
             ("dataspace", dataspace_cd()),
+            ("edges", edge_relation()),
         ];
         for (label, r) in &tables {
-            assert_od_validators_agree(r, label, true);
+            assert_od_validators_agree(r, label);
         }
         for (mut rng, case) in cases(71) {
             let r = numeric_relation(&mut rng);
-            assert_od_validators_agree(&r, &format!("numeric case {case}"), true);
+            assert_od_validators_agree(&r, &format!("numeric case {case}"));
             let r = arbitrary_relation(&mut rng);
-            assert_od_validators_agree(&r, &format!("arbitrary case {case}"), true);
+            assert_od_validators_agree(&r, &format!("arbitrary case {case}"));
         }
-        // Numerically equal Int/Float cells are distinct runs to the
-        // validator (structural equality) but one run to `Od::holds`, so
-        // here only the two validators must agree.
-        assert_od_validators_agree(&edge_relation(), "edges", false);
+    }
+
+    /// Numerically equal cells of different types (`Int(2)`, `Float(2.0)`)
+    /// are one `A` value to an OD: discovery must not report an OD whose
+    /// tied rows disagree on `B`.
+    #[test]
+    fn discovered_ods_hold_pairwise_on_numerically_equal_cells() {
+        let csv =
+            parse_csv("a,b\n2,1\n2.0,5\n3,7\n", &[ValueType::Numeric; 2]).expect("well-formed CSV");
+        for (label, r) in [("edges", edge_relation()), ("csv", csv)] {
+            let found = od::discover(&r, &od::OdConfig { max_lhs: 2 });
+            for o in &found {
+                assert!(o.holds_naive(&r), "{label}: discovered {o} does not hold");
+            }
+            if label == "csv" {
+                let rendered: Vec<String> = found.iter().map(ToString::to_string).collect();
+                assert_eq!(rendered, ["OD: b^≤ -> a^≤"], "{label}");
+            }
+        }
     }
 
     /// Seeded monotone synthetics with ties on the LHS: the ODs hold until
@@ -1389,24 +1459,19 @@ mod code_native_kernels {
             }
             let mut r = b.build().expect("consistent arity");
             let (a, up, down) = (AttrId(0), AttrId(1), AttrId(2));
-            assert!(validate_single(&r, a, Direction::Asc, up, Direction::Asc));
-            assert!(validate_single(
-                &r,
-                a,
-                Direction::Asc,
-                down,
-                Direction::Desc
-            ));
-            assert!(validate_single(&r, a, Direction::Desc, up, Direction::Desc));
-            assert_od_validators_agree(&r, &format!("seed {seed}"), true);
+            let holds = |r: &Relation, lhs, rhs| Od::holds_single_atom(r, lhs, rhs);
+            assert!(holds(&r, (a, Direction::Asc), (up, Direction::Asc)));
+            assert!(holds(&r, (a, Direction::Asc), (down, Direction::Desc)));
+            assert!(holds(&r, (a, Direction::Desc), (up, Direction::Desc)));
+            assert_od_validators_agree(&r, &format!("seed {seed}"));
             // Break one tie: a row sharing another row's `a` gets a new `up`.
             let (i, j) = (0..rows.len())
                 .flat_map(|i| (i + 1..rows.len()).map(move |j| (i, j)))
                 .find(|&(i, j)| rows[i] == rows[j])
                 .expect("200 draws from 40 values tie");
             r.set_value(j, up, Value::int(3 * rows[i] + 2));
-            assert!(!validate_single(&r, a, Direction::Asc, up, Direction::Asc));
-            assert_od_validators_agree(&r, &format!("seed {seed} broken tie"), true);
+            assert!(!holds(&r, (a, Direction::Asc), (up, Direction::Asc)));
+            assert_od_validators_agree(&r, &format!("seed {seed} broken tie"));
         }
     }
 }
