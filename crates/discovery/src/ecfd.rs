@@ -29,10 +29,23 @@ impl Default for ECfdConfig {
     }
 }
 
+/// Up to `k` quantiles of the distinct values the live rows of `attr`
+/// hold. Walks codes, not the dictionary, which keeps orphaned entries
+/// after `set_value`.
 fn numeric_constants(r: &Relation, attr: AttrId, k: usize) -> Vec<Value> {
-    let mut vals: Vec<Value> = r.column(attr).to_vec();
+    let col = r.col(attr);
+    let mut live = vec![false; col.dict().len()];
+    for &code in col.codes() {
+        live[code as usize] = true;
+    }
+    let mut vals: Vec<Value> = col
+        .dict()
+        .iter()
+        .zip(&live)
+        .filter(|&(_, &l)| l)
+        .map(|(v, _)| v.clone())
+        .collect();
     vals.sort();
-    vals.dedup();
     if vals.len() <= k {
         return vals;
     }

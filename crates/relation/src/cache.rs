@@ -80,7 +80,7 @@ struct Shard {
 }
 
 /// A sharded, memoized, LRU-bounded cache of stripped partitions keyed by
-/// attribute set. See the [module docs](self) for the design.
+/// attribute set. See the `cache` module docs for the design.
 pub struct PartitionCache {
     shards: Vec<Mutex<Shard>>,
     capacity: Option<u64>,

@@ -9,24 +9,17 @@
 //! * structural equality of cells is equality of codes (the bijection
 //!   between live codes and values is the invariant everything leans on);
 //! * repeated CSV cells cost no allocation after the first occurrence
-//!   (the parse path interns through [`Column::intern_text`]);
+//!   (the parse path interns through [`Column::intern_str`]);
 //! * grouping, partitioning and blocking become integer loops over the
 //!   code vector instead of `Value` hashing.
 //!
 //! Alongside the codes a column maintains a null bitmap (one bit per row)
-//! and two lazily built views:
-//!
-//! * a *sorted-run index* ([`ColumnIndex`]): for every dictionary code its
-//!   rank under the structural [`Value`] total order (ties impossible:
-//!   dictionary entries are distinct) and its rank under
-//!   [`Value::numeric_cmp`] with numerically-equal entries collapsed onto
-//!   one rank — the currency of order-dependency checks and sorted scans;
-//! * packed `f64` / `i64` vectors ([`Column::packed_f64`] /
-//!   [`Column::packed_i64`]) when every non-null cell is numeric
-//!   (resp. an integer); nulls hold a placeholder (`NaN` / `0`) and are
-//!   disambiguated through the bitmap.
-//!
-//! Lazy views are invalidated by any mutation ([`Column::set`], pushes).
+//! and one lazily built view, the *sorted-run index* ([`ColumnIndex`]):
+//! for every dictionary code its rank under the structural [`Value`]
+//! total order (ties impossible: dictionary entries are distinct) and its
+//! rank under [`Value::numeric_cmp`] with numerically-equal entries
+//! collapsed onto one rank — the currency of order-dependency checks and
+//! sorted scans. Any mutation ([`Column::set`], pushes) invalidates it.
 
 use crate::value::Value;
 use std::collections::HashMap;
@@ -130,22 +123,6 @@ impl ColumnIndex {
     }
 }
 
-/// Packed numeric views of a column, built lazily on first request.
-#[derive(Debug, Clone)]
-enum Packed {
-    /// Every non-null cell is numeric; nulls hold `NaN`.
-    F64(Vec<f64>),
-    /// Not all-numeric; no packed view exists.
-    None,
-}
-
-#[derive(Debug, Clone)]
-enum PackedInt {
-    /// Every non-null cell is an `Int`; nulls hold `0`.
-    I64(Vec<i64>),
-    None,
-}
-
 /// One dictionary-encoded attribute column. See the module docs.
 #[derive(Debug, Default)]
 pub struct Column {
@@ -160,31 +137,23 @@ pub struct Column {
     /// Per-code: next code with the same hash (`NO_CODE` = end).
     chain: Vec<u32>,
     /// Null bitmap, one bit per row (bit set ⇔ cell is `Null`).
-    null_words: Vec<u64>,
+    null_bits: Vec<u64>,
     n_nulls: usize,
     /// Lazy sorted-run index; invalidated by mutation.
     index: OnceLock<ColumnIndex>,
-    /// Lazy `Value` slice view; invalidated by mutation.
-    values: OnceLock<Vec<Value>>,
-    /// Lazy packed numeric views; invalidated by mutation.
-    packed_f64: OnceLock<Packed>,
-    packed_i64: OnceLock<PackedInt>,
 }
 
 impl Clone for Column {
     fn clone(&self) -> Self {
-        // Lazy views are per-instance caches; the clone re-derives them.
+        // The index is a per-instance cache; the clone re-derives it.
         Column {
             codes: self.codes.clone(),
             dict: self.dict.clone(),
             lookup: self.lookup.clone(),
             chain: self.chain.clone(),
-            null_words: self.null_words.clone(),
+            null_bits: self.null_bits.clone(),
             n_nulls: self.n_nulls,
             index: OnceLock::new(),
-            values: OnceLock::new(),
-            packed_f64: OnceLock::new(),
-            packed_i64: OnceLock::new(),
         }
     }
 }
@@ -259,26 +228,13 @@ impl Column {
     /// Is the cell at `row` null?
     #[inline]
     pub fn is_null(&self, row: usize) -> bool {
-        self.null_words[row / 64] & (1u64 << (row % 64)) != 0
+        self.null_bits[row / 64] & (1u64 << (row % 64)) != 0
     }
 
     /// Number of null cells.
     #[inline]
     pub fn null_count(&self) -> usize {
         self.n_nulls
-    }
-
-    /// The null bitmap words (bit `row % 64` of word `row / 64`).
-    #[inline]
-    pub fn null_words(&self) -> &[u64] {
-        &self.null_words
-    }
-
-    fn invalidate(&mut self) {
-        self.index.take();
-        self.values.take();
-        self.packed_f64.take();
-        self.packed_i64.take();
     }
 
     fn find_or_insert(
@@ -349,7 +305,7 @@ impl Column {
                 let probe = s.clone();
                 // One clone per *distinct* string would be ideal; entry-based
                 // probing needs the text for comparison and the value for
-                // insertion. `intern_text` (the parse path) avoids even that.
+                // insertion. `intern_str` (the parse path) avoids even that.
                 self.find_or_insert(
                     hash,
                     |d| d.as_str() == Some(probe.as_str()),
@@ -383,13 +339,13 @@ impl Column {
         let row = self.codes.len();
         self.codes.push(code);
         if row.is_multiple_of(64) {
-            self.null_words.push(0);
+            self.null_bits.push(0);
         }
         if null {
-            self.null_words[row / 64] |= 1u64 << (row % 64);
+            self.null_bits[row / 64] |= 1u64 << (row % 64);
             self.n_nulls += 1;
         }
-        self.invalidate();
+        self.index.take();
     }
 
     /// Overwrite one cell.
@@ -400,16 +356,16 @@ impl Column {
         self.codes[row] = code;
         match (was_null, null) {
             (false, true) => {
-                self.null_words[row / 64] |= 1u64 << (row % 64);
+                self.null_bits[row / 64] |= 1u64 << (row % 64);
                 self.n_nulls += 1;
             }
             (true, false) => {
-                self.null_words[row / 64] &= !(1u64 << (row % 64));
+                self.null_bits[row / 64] &= !(1u64 << (row % 64));
                 self.n_nulls -= 1;
             }
             _ => {}
         }
-        self.invalidate();
+        self.index.take();
     }
 
     /// The sorted-run index, built on first use.
@@ -417,62 +373,9 @@ impl Column {
         self.index.get_or_init(|| ColumnIndex::build(&self.dict))
     }
 
-    /// The column as a `Value` slice.
-    /// Materialized (cloning every cell) on first use; prefer code-based
-    /// access on hot paths.
-    pub fn values(&self) -> &[Value] {
-        self.values.get_or_init(|| {
-            self.codes
-                .iter()
-                .map(|&c| self.dict[c as usize].clone())
-                .collect()
-        })
-    }
-
-    /// Packed `f64` view: `Some` iff every non-null cell is numeric.
-    /// Null rows hold `NaN`; consult [`Column::is_null`] to tell them from
-    /// genuine `NaN` cells.
-    pub fn packed_f64(&self) -> Option<&[f64]> {
-        let packed = self.packed_f64.get_or_init(|| {
-            let mut out = Vec::with_capacity(self.codes.len());
-            for (row, &code) in self.codes.iter().enumerate() {
-                match self.dict[code as usize].as_f64() {
-                    Some(x) => out.push(x),
-                    None if self.is_null(row) => out.push(f64::NAN),
-                    None => return Packed::None,
-                }
-            }
-            Packed::F64(out)
-        });
-        match packed {
-            Packed::F64(v) => Some(v),
-            Packed::None => None,
-        }
-    }
-
-    /// Packed `i64` view: `Some` iff every non-null cell is an `Int`.
-    /// Null rows hold `0`; consult [`Column::is_null`].
-    pub fn packed_i64(&self) -> Option<&[i64]> {
-        let packed = self.packed_i64.get_or_init(|| {
-            let mut out = Vec::with_capacity(self.codes.len());
-            for (row, &code) in self.codes.iter().enumerate() {
-                match &self.dict[code as usize] {
-                    Value::Int(i) => out.push(*i),
-                    Value::Null if self.is_null(row) => out.push(0),
-                    _ => return PackedInt::None,
-                }
-            }
-            PackedInt::I64(out)
-        });
-        match packed {
-            PackedInt::I64(v) => Some(v),
-            PackedInt::None => None,
-        }
-    }
-
     /// Rough resident footprint in bytes: codes, dictionary (enum + string
-    /// heap), intern table and null bitmap. Lazy views are counted only
-    /// once built. An estimate, not an allocator measurement — the same
+    /// heap), intern table and null bitmap, plus the sorted-run index once
+    /// built. An estimate, not an allocator measurement — the same
     /// contract as [`crate::StrippedPartition::approx_bytes`].
     pub fn approx_bytes(&self) -> u64 {
         let mut total = (self.codes.len() * std::mem::size_of::<u32>()) as u64;
@@ -486,23 +389,9 @@ impl Column {
         // HashMap entry ≈ key + value + control byte, times a load-factor
         // slack of 8/7 rounded up to 2× for growth headroom.
         total += (self.lookup.len() * (std::mem::size_of::<(u64, u32)>() + 1) * 2) as u64;
-        total += (self.null_words.len() * std::mem::size_of::<u64>()) as u64;
+        total += (self.null_bits.len() * std::mem::size_of::<u64>()) as u64;
         if let Some(ix) = self.index.get() {
             total += ((ix.rank.len() + ix.num_rank.len()) * std::mem::size_of::<u32>()) as u64;
-        }
-        if let Some(vals) = self.values.get() {
-            total += (vals.len() * std::mem::size_of::<Value>()) as u64;
-            for v in vals {
-                if let Value::Str(s) = v {
-                    total += s.len() as u64;
-                }
-            }
-        }
-        if let Some(Packed::F64(v)) = self.packed_f64.get() {
-            total += (v.len() * std::mem::size_of::<f64>()) as u64;
-        }
-        if let Some(PackedInt::I64(v)) = self.packed_i64.get() {
-            total += (v.len() * std::mem::size_of::<i64>()) as u64;
         }
         total
     }
@@ -536,7 +425,7 @@ impl Column {
     pub fn debug_validate(&self) {
         assert_eq!(self.chain.len(), self.dict.len(), "chain/dict length");
         assert_eq!(
-            self.null_words.len(),
+            self.null_bits.len(),
             self.codes.len().div_ceil(64),
             "null bitmap sizing"
         );
@@ -646,37 +535,14 @@ mod tests {
     }
 
     #[test]
-    fn packed_views_gate_on_content() {
-        let mut nums = Column::new();
-        nums.push(Value::int(1));
-        nums.push(Value::Null);
-        nums.push(Value::float(2.5));
-        let f = nums.packed_f64().expect("all-numeric");
-        assert_eq!(f[0], 1.0);
-        assert!(f[1].is_nan() && nums.is_null(1));
-        assert_eq!(f[2], 2.5);
-        assert!(nums.packed_i64().is_none(), "2.5 is not an Int");
-
-        let mut ints = Column::new();
-        ints.push(Value::int(4));
-        ints.push(Value::Null);
-        assert_eq!(ints.packed_i64().expect("all-int"), &[4, 0]);
-
-        let mut mixed = Column::new();
-        mixed.push(Value::int(1));
-        mixed.push(Value::str("x"));
-        assert!(mixed.packed_f64().is_none());
-    }
-
-    #[test]
     fn mutation_invalidates_lazy_views() {
         let mut c = Column::new();
         c.push(Value::int(1));
         c.push(Value::int(2));
-        assert_eq!(c.values(), &[Value::int(1), Value::int(2)]);
-        let _ = c.index();
+        let ix = c.index();
+        assert!(ix.rank(c.code(0)) < ix.rank(c.code(1)));
         c.set(0, Value::int(9));
-        assert_eq!(c.values(), &[Value::int(9), Value::int(2)]);
+        assert_eq!(c.value(0), &Value::int(9));
         let ix = c.index();
         assert!(ix.rank(c.code(0)) > ix.rank(c.code(1)));
     }
@@ -705,11 +571,10 @@ mod tests {
         }
         let full = c.approx_bytes();
         assert!(full > empty + 100 * 4, "codes + dict bytes counted");
-        let before_views = full;
-        let _ = c.values();
+        let _ = c.index();
         assert!(
-            c.approx_bytes() > before_views,
-            "lazy views charged once built"
+            c.approx_bytes() > full,
+            "sorted-run index charged once built"
         );
     }
 }

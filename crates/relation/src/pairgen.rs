@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::column::Column;
-use crate::{AttrId, Relation, StrippedPartition, Value};
+use crate::{AttrId, Relation, StrippedPartition};
 
 /// Seedless single-pass hasher for the edit-index tables: one Fibonacci
 /// multiply for packed u64 grams, FNV-1a for byte streams. Deterministic
@@ -148,30 +148,20 @@ pub struct PairIndex {
 }
 
 impl PairIndex {
-    /// Build an index over a column for a predicate class.
+    /// Build an index over a relation attribute for a predicate class.
     ///
     /// Completeness contract: every row pair `(i, j)` with `i < j` whose
     /// values match under `spec` is generated by
     /// [`PairIndex::for_each_candidate`].  For [`PairSpec::All`] (and for
     /// indexes that blow past the internal link cap) this degenerates to the
     /// full scan.
-    pub fn build(col: &[Value], spec: PairSpec) -> Self {
-        match spec {
-            PairSpec::Eq => Self::build_eq(col),
-            PairSpec::Band(theta) => Self::build_band(col, theta),
-            PairSpec::Edit(k) => Self::build_edit(col, k),
-            PairSpec::Empty => Self::empty(col.len()),
-            PairSpec::All => Self::full_scan(col.len()),
-        }
-    }
-
-    /// [`PairIndex::build`] over a relation attribute, keyed on dictionary
-    /// codes: equality classes come straight from the code vector, band
-    /// sweeps sort one value per *distinct* code, and the edit index
-    /// renders each distinct value once instead of once per row. Class
-    /// construction visits rows in order, so classes, links and candidate
-    /// enumeration are identical to the `Value`-slice builder
-    /// [`PairIndex::build`].
+    ///
+    /// The build is keyed on dictionary codes: equality classes come
+    /// straight from the code vector, band sweeps sort one value per
+    /// *distinct* code, and the edit index renders each distinct value
+    /// once instead of once per row. Classes are created in first-row
+    /// order and filled in row order, so classes, links and candidate
+    /// enumeration are a pure function of the cells.
     pub fn build_attr(rel: &Relation, attr: AttrId, spec: PairSpec) -> Self {
         let col = rel.col(attr);
         match spec {
@@ -211,27 +201,6 @@ impl PairIndex {
         }
     }
 
-    /// Equality-blocking index from an existing stripped partition
-    /// (singleton classes generate no pairs, so stripping loses nothing).
-    pub fn from_partition(part: &StrippedPartition) -> Self {
-        Self::from_classes(part.classes().to_vec(), part.n_rows())
-    }
-
-    /// Equality-blocking index over the structural-equality classes of an
-    /// attribute set (the multi-column analogue of [`PairSpec::Eq`]).
-    pub fn from_attrs(rel: &Relation, attrs: crate::AttrSet) -> Self {
-        Self::from_partition(&StrippedPartition::from_attrs(rel, attrs))
-    }
-
-    fn from_classes(mut classes: Vec<Vec<usize>>, n_rows: usize) -> Self {
-        classes.retain(|c| c.len() >= 2);
-        for c in &mut classes {
-            c.sort_unstable();
-        }
-        classes.sort_unstable();
-        Self::finish(classes, Vec::new(), true, n_rows)
-    }
-
     fn finish(
         classes: Vec<Vec<usize>>,
         links: Vec<(usize, usize)>,
@@ -251,10 +220,6 @@ impl PairIndex {
         idx
     }
 
-    fn build_eq(col: &[Value]) -> Self {
-        Self::finish(structural_classes(col), Vec::new(), true, col.len())
-    }
-
     fn build_eq_codes(col: &Column) -> Self {
         Self::finish(code_classes(col), Vec::new(), true, col.len())
     }
@@ -263,8 +228,11 @@ impl PairIndex {
         if theta.is_nan() || theta < 0.0 {
             return Self::empty(col.len());
         }
-        // Mirrors `build_band`: structural classes in first-appearance
-        // order, rows with non-finite numeric values dropped entirely.
+        // A negative (or NaN) band matches nothing: even null/null pairs sit
+        // at distance 0, which is not ≤ θ. Otherwise: structural classes in
+        // first-appearance order, excluding non-finite numerics — |x−y| is
+        // NaN or +∞ whenever either side is, so those rows match nothing
+        // at all, not even structurally equal copies of themselves.
         // Membership decisions are made once per dictionary code.
         const NO_CLASS: u32 = u32::MAX;
         let dict = col.dict();
@@ -294,6 +262,9 @@ impl PairIndex {
             .enumerate()
             .filter_map(|(c, &code)| Some((dict[code as usize].as_f64()?, c)))
             .collect();
+        // Two-pointer sweep over the numeric classes sorted by value: classes
+        // a < b are linked iff their value gap is ≤ θ, which is exactly the
+        // AbsDiff predicate on their (constant) member values.
         nums.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let cap = link_cap(col.len());
         let mut links = Vec::new();
@@ -314,13 +285,16 @@ impl PairIndex {
     }
 
     fn build_edit_codes(col: &Column, k: usize) -> Self {
-        // Same classes as `build_edit` — keyed on *rendered* text, so
-        // distinct codes can share a class (`Int(10)` and `Str("10")`
-        // render alike) — but built per *distinct dictionary entry*: two
-        // row passes (count, then fill into exact-capacity classes) and
-        // one render per live code. Class creation follows the first live
-        // row of each code, so class order, content and the downstream
-        // gram links are identical to the per-row reference builder.
+        // Classes of identical rendered strings (distance 0), plus one class
+        // for nulls (null/null distance is 0, null/string is ∞). Keyed on
+        // *rendered* text, so distinct codes can share a class (`Int(10)`
+        // and `Str("10")` render alike), but built per *distinct
+        // dictionary entry*: two row passes (count, then fill into
+        // exact-capacity classes) and one render per live code. Class
+        // creation follows the first live row of each code, so classes
+        // appear in first-row order exactly as a per-row grouping would
+        // create them. Cross-class candidates come from a q-gram inverted
+        // index with a length filter.
         const NO_CLASS: u32 = u32::MAX;
         let dict = col.dict();
         // Pass 1: first-seen live codes (in first-row order) + row counts.
@@ -365,78 +339,8 @@ impl PairIndex {
         idx
     }
 
-    fn build_band(col: &[Value], theta: f64) -> Self {
-        // A negative (or NaN) band matches nothing: even null/null pairs sit
-        // at distance 0, which is not ≤ θ.
-        if theta.is_nan() || theta < 0.0 {
-            return Self::empty(col.len());
-        }
-        // Structural classes, excluding non-finite numerics: |x−y| is NaN or
-        // +∞ whenever either side is, so those rows match nothing at all —
-        // not even structurally equal copies of themselves.
-        let mut by_value: HashMap<&Value, usize> = HashMap::new();
-        let mut classes: Vec<Vec<usize>> = Vec::new();
-        for (row, v) in col.iter().enumerate() {
-            if matches!(v.as_f64(), Some(x) if !x.is_finite()) {
-                continue;
-            }
-            let cls = *by_value.entry(v).or_insert_with(|| {
-                classes.push(Vec::new());
-                classes.len() - 1
-            });
-            classes[cls].push(row);
-        }
-        // Two-pointer sweep over the numeric classes sorted by value: classes
-        // a < b are linked iff their value gap is ≤ θ, which is exactly the
-        // AbsDiff predicate on their (constant) member values.
-        let mut nums: Vec<(f64, usize)> = classes
-            .iter()
-            .enumerate()
-            .filter_map(|(c, rows)| {
-                let v = col[rows[0]].as_f64()?;
-                Some((v, c))
-            })
-            .collect();
-        nums.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let cap = link_cap(col.len());
-        let mut links = Vec::new();
-        let mut lo = 0usize;
-        for hi in 0..nums.len() {
-            while nums[hi].0 - nums[lo].0 > theta {
-                lo += 1;
-            }
-            for k in lo..hi {
-                let (a, b) = (nums[k].1, nums[hi].1);
-                links.push((a.min(b), a.max(b)));
-                if links.len() > cap {
-                    return Self::full_scan(col.len());
-                }
-            }
-        }
-        Self::finish(classes, links, true, col.len())
-    }
-
-    fn build_edit(col: &[Value], k: usize) -> Self {
-        // Classes of identical rendered strings (distance 0), plus one class
-        // for nulls (null/null distance is 0, null/string is ∞).  Cross-class
-        // candidates come from a q-gram inverted index with a length filter.
-        let mut by_key: HashMap<Option<String>, usize> = HashMap::new();
-        let mut classes: Vec<Vec<usize>> = Vec::new();
-        let mut texts: Vec<Option<Vec<char>>> = Vec::new();
-        for (row, v) in col.iter().enumerate() {
-            let key = (!v.is_null()).then(|| v.render().into_owned());
-            let cls = *by_key.entry(key).or_insert_with(|| {
-                classes.push(Vec::new());
-                texts.push((!v.is_null()).then(|| v.render().chars().collect()));
-                classes.len() - 1
-            });
-            classes[cls].push(row);
-        }
-        Self::finish_edit(classes, texts, k, col.len())
-    }
-
-    /// Shared tail of the edit-distance builders: q-gram prefix-filter
-    /// linking over rendered-text classes.
+    /// Tail of the edit-distance builder: q-gram prefix-filter linking
+    /// over rendered-text classes.
     fn finish_edit(
         classes: Vec<Vec<usize>>,
         texts: Vec<Option<Vec<char>>>,
@@ -541,7 +445,9 @@ impl PairIndex {
         self.n_rows
     }
 
-    /// The equivalence classes (each a sorted row list, ≥ 2 rows).
+    /// The equivalence classes, each a sorted row list, ordered by first
+    /// row. Singleton classes are kept: they generate no within-class
+    /// pairs, but band and edit links anchor on them.
     pub fn classes(&self) -> &[Vec<usize>] {
         &self.classes
     }
@@ -558,8 +464,7 @@ impl PairIndex {
 
     /// Rows whose q-gram indexing was served by an already-indexed distinct
     /// dictionary entry (the repeated-string win of the distinct-value edit
-    /// builder). 0 for every other index kind and for the `Value`-slice
-    /// builder [`PairIndex::build`].
+    /// builder). 0 for every other index kind.
     pub fn distinct_gram_hits(&self) -> u64 {
         self.distinct_gram_hits
     }
@@ -651,23 +556,9 @@ impl PairIndex {
 }
 
 /// Structural-equality classes of a column, ordered by first row, rows
-/// ascending within each class.  All rows are covered (singletons included).
-fn structural_classes(col: &[Value]) -> Vec<Vec<usize>> {
-    let mut by_value: HashMap<&Value, usize> = HashMap::new();
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for (row, v) in col.iter().enumerate() {
-        let cls = *by_value.entry(v).or_insert_with(|| {
-            classes.push(Vec::new());
-            classes.len() - 1
-        });
-        classes[cls].push(row);
-    }
-    classes
-}
-
-/// [`structural_classes`] from dictionary codes: no `Value` hashing, one
-/// array slot per code.  Identical output — a code *is* a structural-
-/// equality class id, and both walks visit rows in ascending order.
+/// ascending within each class.  All rows are covered (singletons
+/// included).  A code *is* a structural-equality class id, so grouping
+/// needs one array slot per code and no `Value` hashing.
 fn code_classes(col: &Column) -> Vec<Vec<usize>> {
     const NO_CLASS: u32 = u32::MAX;
     let mut class_of: Vec<u32> = vec![NO_CLASS; col.dict().len()];
@@ -753,36 +644,19 @@ fn band_count(col: &Column, rows: &[usize], theta: f64) -> u64 {
     let mut nulls = 0u64;
     let mut nums: Vec<f64> = Vec::new();
     let mut strs: HashMap<u32, u64> = HashMap::new();
-    if let Some(packed) = col.packed_f64() {
-        // All-numeric column: gather straight from the packed view (null
-        // rows hold NaN there, so the bitmap check still gates them) —
-        // no dictionary indirection, and `strs` stays empty by
-        // construction.
-        for &row in rows {
-            if col.is_null(row) {
-                nulls += 1;
-                continue;
-            }
-            let x = packed[row];
+    for &row in rows {
+        if col.is_null(row) {
+            nulls += 1;
+            continue;
+        }
+        let code = col.code(row);
+        if let Some(x) = col.dict_value(code).as_f64() {
             if x.is_finite() {
                 nums.push(x);
             }
-        }
-    } else {
-        for &row in rows {
-            if col.is_null(row) {
-                nulls += 1;
-                continue;
-            }
-            let code = col.code(row);
-            if let Some(x) = col.dict_value(code).as_f64() {
-                if x.is_finite() {
-                    nums.push(x);
-                }
-                // non-finite numerics match nothing, not even themselves
-            } else {
-                *strs.entry(code).or_insert(0) += 1;
-            }
+            // non-finite numerics match nothing, not even themselves
+        } else {
+            *strs.entry(code).or_insert(0) += 1;
         }
     }
     let mut total = nulls * nulls.saturating_sub(1) / 2;
@@ -896,6 +770,21 @@ pub fn best_index(rel: &Relation, specs: &[(AttrId, PairSpec)]) -> PairIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RelationBuilder, Value, ValueType};
+
+    /// A one-attribute relation holding `cells`.
+    fn one_column(cells: &[Value]) -> Relation {
+        let mut b = RelationBuilder::new().attr("v", ValueType::Categorical);
+        for v in cells {
+            b = b.row(vec![v.clone()]);
+        }
+        b.build().expect("valid relation")
+    }
+
+    /// [`PairIndex::build_attr`] over a one-attribute relation.
+    fn index_of(cells: &[Value], spec: PairSpec) -> PairIndex {
+        PairIndex::build_attr(&one_column(cells), AttrId(0), spec)
+    }
 
     fn matches(spec: PairSpec, a: &Value, b: &Value) -> bool {
         // Reference semantics, mirroring Metric::dist for the spec's class.
@@ -942,7 +831,7 @@ mod tests {
     }
 
     fn check_complete(col: &[Value], spec: PairSpec) {
-        let idx = PairIndex::build(col, spec);
+        let idx = index_of(col, spec);
         let mut cands = std::collections::BTreeSet::new();
         idx.for_each_candidate(|i, j| {
             assert!(i < j, "ordered pair");
@@ -1010,7 +899,7 @@ mod tests {
     #[test]
     fn band_links_are_exact() {
         let col: Vec<Value> = (0..40).map(|i| Value::int(i * 3)).collect();
-        let idx = PairIndex::build(&col, PairSpec::Band(4.0));
+        let idx = index_of(&col, PairSpec::Band(4.0));
         assert!(idx.is_exact() && idx.is_indexed());
         // each value is within 4 of exactly its neighbours at gap 3
         assert_eq!(idx.n_candidates(), 39);
@@ -1049,14 +938,13 @@ mod tests {
     fn unselective_band_falls_back_to_full_scan() {
         // thousands of distinct values all within one huge band
         let col: Vec<Value> = (0..2000).map(Value::int).collect();
-        let idx = PairIndex::build(&col, PairSpec::Band(1e12));
+        let idx = index_of(&col, PairSpec::Band(1e12));
         assert!(!idx.is_indexed());
         assert_eq!(idx.n_candidates(), 2000 * 1999 / 2);
     }
 
     #[test]
     fn count_pairs_matches_brute_force() {
-        use crate::{RelationBuilder, ValueType};
         let col_a = sample_column();
         let col_b: Vec<Value> = (0..col_a.len())
             .map(|i| {
@@ -1111,7 +999,6 @@ mod tests {
 
     #[test]
     fn best_index_prefers_most_selective() {
-        use crate::{RelationBuilder, ValueType};
         let mut b = RelationBuilder::new()
             .attr("wide", ValueType::Categorical)
             .attr("narrow", ValueType::Categorical);
@@ -1183,45 +1070,58 @@ mod tests {
 
     #[test]
     fn distinct_gram_hits_count_repeated_strings() {
-        use crate::{RelationBuilder, ValueType};
-        let mut b = RelationBuilder::new().attr("s", ValueType::Categorical);
-        for i in 0..40 {
-            b = b.row(vec![Value::Str(format!("name-{}", i % 8))]);
-        }
-        let r = b.build().expect("valid relation");
-        let s = r.schema().attr_id("s").expect("s");
-        let idx = PairIndex::build_attr(&r, s, PairSpec::Edit(1));
+        let col: Vec<Value> = (0..40)
+            .map(|i| Value::Str(format!("name-{}", i % 8)))
+            .collect();
+        let idx = index_of(&col, PairSpec::Edit(1));
         assert_eq!(idx.distinct_gram_hits(), 32, "40 rows over 8 distinct");
-        let reference = PairIndex::build(r.column(s), PairSpec::Edit(1));
-        assert_eq!(reference.distinct_gram_hits(), 0, "reference counts none");
-        assert_eq!(idx.classes(), reference.classes());
-        assert_eq!(idx.links(), reference.links());
+        let eq = index_of(&col, PairSpec::Eq);
+        assert_eq!(eq.distinct_gram_hits(), 0, "only the edit index counts");
+        // Distinct strings render distinctly: the edit classes are the
+        // equality classes, five rows each in first-row order.
+        assert_eq!(idx.classes(), eq.classes());
+        assert_eq!(idx.classes()[3], vec![3, 11, 19, 27, 35]);
+        check_complete(&col, PairSpec::Edit(1));
     }
 
     #[test]
-    fn from_partition_matches_eq_index() {
-        use crate::{RelationBuilder, ValueType};
-        let mut b = RelationBuilder::new().attr("g", ValueType::Categorical);
-        for i in 0..30 {
-            b = b.row(vec![Value::Str(format!("g{}", i % 4))]);
-        }
-        let r = b.build().expect("valid relation");
-        let g = r.schema().attr_id("g").expect("g");
-        let via_part = PairIndex::from_attrs(&r, crate::AttrSet::single(g));
-        let via_build = PairIndex::build(r.column(g), PairSpec::Eq);
-        assert_eq!(via_part.n_candidates(), via_build.n_candidates());
-        let mut a = Vec::new();
-        via_part.for_each_candidate(|i, j| {
-            a.push((i, j));
+    fn eq_index_matches_stripped_partition() {
+        let col: Vec<Value> = (0..30)
+            .map(|i| {
+                if i % 7 == 6 {
+                    Value::Str(format!("solo{i}"))
+                } else {
+                    Value::Str(format!("g{}", i % 4))
+                }
+            })
+            .collect();
+        let r = one_column(&col);
+        let idx = PairIndex::build_attr(&r, AttrId(0), PairSpec::Eq);
+        let part = StrippedPartition::from_column(&r, AttrId(0));
+        let non_singleton: Vec<Vec<usize>> = idx
+            .classes()
+            .iter()
+            .filter(|c| c.len() >= 2)
+            .cloned()
+            .collect();
+        assert_eq!(non_singleton, part.classes());
+        let mut from_index = Vec::new();
+        idx.for_each_candidate(|i, j| {
+            from_index.push((i, j));
             true
         });
-        let mut bs = Vec::new();
-        via_build.for_each_candidate(|i, j| {
-            bs.push((i, j));
-            true
-        });
-        a.sort_unstable();
-        bs.sort_unstable();
-        assert_eq!(a, bs);
+        let mut from_part: Vec<(usize, usize)> = part
+            .classes()
+            .iter()
+            .flat_map(|c| {
+                c.iter()
+                    .enumerate()
+                    .flat_map(move |(x, &i)| c[x + 1..].iter().map(move |&j| (i, j)))
+            })
+            .collect();
+        assert_eq!(idx.n_candidates(), from_index.len() as u64);
+        from_index.sort_unstable();
+        from_part.sort_unstable();
+        assert_eq!(from_index, from_part);
     }
 }

@@ -119,15 +119,6 @@ impl StrippedPartition {
         Some(StrippedPartition { classes, n_rows: n })
     }
 
-    /// Partition from per-row labels: rows with equal labels share a class.
-    pub fn from_labels<T: std::hash::Hash + Eq>(labels: &[T]) -> Self {
-        let mut groups: HashMap<&T, Vec<usize>> = HashMap::new();
-        for (row, l) in labels.iter().enumerate() {
-            groups.entry(l).or_default().push(row);
-        }
-        Self::from_groups(groups.into_values(), labels.len())
-    }
-
     fn from_groups<I: IntoIterator<Item = Vec<usize>>>(groups: I, n_rows: usize) -> Self {
         let mut classes: Vec<Vec<usize>> = groups
             .into_iter()
@@ -520,6 +511,16 @@ mod tests {
     use super::*;
     use crate::relation::RelationBuilder;
     use crate::schema::ValueType;
+    use crate::value::Value;
+
+    /// The stripped partition of a one-attribute relation holding `cells`.
+    fn of_cells(cells: &[Value]) -> StrippedPartition {
+        let mut b = RelationBuilder::new().attr("v", ValueType::Categorical);
+        for v in cells {
+            b = b.row(vec![v.clone()]);
+        }
+        StrippedPartition::from_column(&b.build().unwrap(), crate::AttrId(0))
+    }
 
     fn rel() -> Relation {
         // a  b  c
@@ -611,10 +612,8 @@ mod tests {
     fn g3_with_rhs_singletons() {
         // X has one class of 3 rows; RHS values are all distinct, so the
         // best we can keep is one row: 2 violations.
-        let labels_x = ["g", "g", "g"];
-        let labels_y = [1, 2, 3];
-        let px = StrippedPartition::from_labels(&labels_x);
-        let py = StrippedPartition::from_labels(&labels_y);
+        let px = of_cells(&["g".into(), "g".into(), "g".into()]);
+        let py = of_cells(&[1.into(), 2.into(), 3.into()]);
         assert_eq!(px.g3_violations(&py), 2);
     }
 
@@ -639,8 +638,8 @@ mod tests {
         let pb = StrippedPartition::from_column(&r, s.id("b"));
         let pc = StrippedPartition::from_column(&r, s.id("c"));
         let id5 = StrippedPartition::identity(r.n_rows());
-        let tiny = StrippedPartition::from_labels(&["x", "x", "y"]);
-        let tiny2 = StrippedPartition::from_labels(&[1, 2, 2]);
+        let tiny = of_cells(&["x".into(), "x".into(), "y".into()]);
+        let tiny2 = of_cells(&[1.into(), 2.into(), 2.into()]);
         let mut scratch = ProductScratch::new();
         for (x, y) in [
             (&pa, &pb),

@@ -44,11 +44,11 @@ const DENSE_KEY_BITS_PER_ROW: u64 = 64;
 /// A relation instance: a schema plus dictionary-encoded columnar data.
 ///
 /// Each attribute is a [`Column`]: a `u32` code vector over a per-column
-/// dictionary of distinct [`Value`]s, a null bitmap, and lazily built
-/// sorted-run / packed-numeric / `Value`-slice views (see the [`crate::column`]
-/// module docs). Cell access through [`Relation::value`] is two array
-/// loads; the code-level accessors ([`Relation::col`]) are what the hot
-/// paths of partitioning, grouping and pair blocking consume.
+/// dictionary of distinct [`Value`]s, a null bitmap, and a lazily built
+/// sorted-run index (see the [`crate::column`] module docs). Cell access
+/// through [`Relation::value`] is two array loads; the code-level
+/// accessors ([`Relation::col`]) are what the hot paths of partitioning,
+/// grouping and pair blocking consume.
 ///
 /// Equality is *logical* — same schema, same cells in the same order —
 /// independent of dictionary layout, which mutation history can permute.
@@ -189,7 +189,7 @@ impl Relation {
     }
 
     /// Overwrite a cell value (used by repair algorithms). The new value is
-    /// interned; the column's lazy views are invalidated.
+    /// interned; the column's sorted-run index is invalidated.
     ///
     /// # Panics
     /// Panics if the row or attribute is out of range.
@@ -198,20 +198,10 @@ impl Relation {
     }
 
     /// The dictionary-encoded column of an attribute: code vector,
-    /// dictionary, null bitmap, sorted-run index, packed views.
+    /// dictionary, null bitmap and sorted-run index.
     #[inline]
     pub fn col(&self, attr: AttrId) -> &Column {
         &self.cols[attr.0]
-    }
-
-    /// Whole column for an attribute as a `Value` slice.
-    ///
-    /// Compatibility shim: the slice is materialized (one clone per cell)
-    /// on first use and cached until the column mutates. Hot paths should
-    /// prefer [`Relation::col`] and work on codes.
-    #[inline]
-    pub fn column(&self, attr: AttrId) -> &[Value] {
-        self.cols[attr.0].values()
     }
 
     /// Materialize one row as a vector of cloned values.
@@ -376,7 +366,7 @@ impl Relation {
     }
 
     /// Rough resident footprint in bytes: code vectors, dictionaries,
-    /// intern tables, null bitmaps and any lazy views already built.
+    /// intern tables, null bitmaps and any sorted-run indexes already built.
     /// The columnar analogue of `StrippedPartition::approx_bytes`.
     pub fn approx_bytes(&self) -> u64 {
         self.cols.iter().map(Column::approx_bytes).sum()

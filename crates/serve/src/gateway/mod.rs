@@ -5,9 +5,9 @@
 //! The gateway is one process that:
 //!
 //! - **spawns and supervises** N worker processes on ephemeral ports
-//!   ([`supervisor`]): crash → exponential-backoff respawn, crash loop →
+//!   (`supervisor`): crash → exponential-backoff respawn, crash loop →
 //!   quarantine, wedged worker → `/readyz` probes declare it dead;
-//! - **places datasets** ([`shard`]): whole datasets get a digest-stable
+//! - **places datasets** (`shard`): whole datasets get a digest-stable
 //!   home worker (plus optional replicas), sharded datasets are split
 //!   into contiguous row slices — each slice registered as `dataset#i`
 //!   on its primary and on `--replicas` successor workers — with the
@@ -17,7 +17,7 @@
 //!   over a sharded dataset fans out per slice under a split budget to
 //!   the least-loaded live copy (hedging to the next copy when the
 //!   first runs slow) and merges with full-snapshot re-validation
-//!   ([`merge`]);
+//!   (`merge`);
 //! - **heals instead of degrading**: a background replane loop watches
 //!   the routing table — a slice whose every boot copy is dead gets
 //!   re-homed onto a live survivor by POSTing the retained slice file
@@ -102,7 +102,7 @@ pub struct GatewayConfig {
     /// SIGTERM→SIGKILL grace per worker at shutdown and rolling drain.
     pub child_grace: Duration,
     /// Test-only: arm a deterministic kill/wedge/slow schedule derived
-    /// from this seed against the fleet ([`chaos`]).
+    /// from this seed against the fleet (the `chaos` module).
     pub chaos_seed: Option<u64>,
     /// Front-end transport knobs (bind address, admission, timeouts).
     pub listen: ListenOpts,

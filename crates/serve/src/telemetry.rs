@@ -314,8 +314,7 @@ pub fn worker_inflight(worker: usize) -> Arc<Gauge> {
 /// `deptree_dataset_bytes{dataset="NAME"}`. Set at preload from the
 /// columnar `Relation::approx_bytes` estimate and refreshed after each
 /// task touching the dataset, so a scrape shows what each loaded table
-/// actually costs once its lazy views (sorted runs, packed numerics)
-/// have materialized.
+/// actually costs once its sorted-run indexes have materialized.
 pub fn dataset_bytes(dataset: &str) -> Arc<Gauge> {
     obs::registry().gauge(
         "deptree_dataset_bytes",

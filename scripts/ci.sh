@@ -8,7 +8,8 @@
 #   2. `cargo clippy` twice       — libraries *and binaries* with
 #      `unwrap`/`expect` denied (fallible paths must return
 #      `DeptreeError`, not abort), then every target (tests, examples,
-#      benches) with `-D warnings`;
+#      benches) with `-D warnings`; then `cargo doc` with warnings
+#      denied, so no intra-doc link dangles or points at a private item;
 #   3. tier-1: release build + every test in the workspace (the root
 #      test binaries and each member crate's unit tests), run twice —
 #      once serial (DEPTREE_THREADS=1) and once on an 8-worker pool
@@ -61,6 +62,9 @@ cargo clippy --workspace --lib --bins --quiet -- \
 
 echo "== clippy (all targets) =="
 cargo clippy --workspace --all-targets --quiet -- -D warnings
+
+echo "== rustdoc (warnings denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== tier-1: build =="
 cargo build --release --quiet

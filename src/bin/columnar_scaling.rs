@@ -146,11 +146,20 @@ fn main() {
     for &n in sizes {
         println!("== {n} rows ==");
         let rel = workload_relation(n);
+        // The reference columns are materialised once, outside every timed
+        // region: the pre-columnar relation stored these vectors natively.
+        let ref_cols: Option<Vec<Vec<Value>>> = (n <= REFERENCE_CAP).then(|| {
+            rel.schema()
+                .ids()
+                .map(|a| reference::column(&rel, a))
+                .collect()
+        });
+        let ref_cols = ref_cols.as_deref();
         let mut obj = format!("    {{\n      \"rows\": {n}");
-        let p = bench_partition(&rel, n, &mut obj);
+        let p = bench_partition(&rel, ref_cols, &mut obj);
         bench_tane(&rel, &mut obj);
-        let m = bench_md_blocking(&rel, n, &mut obj);
-        bench_od(&rel, n, &mut obj);
+        let m = bench_md_blocking(&rel, ref_cols, &mut obj);
+        bench_od(&rel, ref_cols, &mut obj);
         let _ = write!(obj, ",\n      \"relation_bytes\": {}", rel.approx_bytes());
         obj.push_str("\n    }");
         rows_json.push(obj);
@@ -274,20 +283,15 @@ fn workload_relation(n: usize) -> Relation {
     rel
 }
 
-/// Materialize the `Vec<Value>` column views so reference timings
-/// measure the algorithm, not the one-off materialization (the
-/// pre-columnar relation stored these vectors natively).
-fn prewarm_reference(rel: &Relation) {
-    for a in rel.schema().ids() {
-        let _ = rel.column(a);
-    }
-}
-
 fn attr(rel: &Relation, name: &str) -> AttrId {
     rel.schema().id(name)
 }
 
-fn bench_partition(rel: &Relation, n: usize, obj: &mut String) -> Option<f64> {
+fn bench_partition(
+    rel: &Relation,
+    ref_cols: Option<&[Vec<Value>]>,
+    obj: &mut String,
+) -> Option<f64> {
     let attrs = [attr(rel, "key"), attr(rel, "grp")];
     // Each timed run is preceded by an identical untimed pass, so neither
     // side pays first-touch page faults or cold-allocator costs inside
@@ -301,18 +305,23 @@ fn bench_partition(rel: &Relation, n: usize, obj: &mut String) -> Option<f64> {
         .map(|&a| StrippedPartition::from_column(rel, a))
         .collect();
     let columnar_ms = ms(t0.elapsed());
-    let reference_ms = (n <= REFERENCE_CAP).then(|| {
-        prewarm_reference(rel);
+    let reference_ms = ref_cols.map(|cols| {
         for &a in &attrs {
-            let _ = reference::partition_of_column(rel, a);
+            let _ = reference::partition_classes(&cols[a.0]);
         }
         let t0 = Instant::now();
-        let slow: Vec<StrippedPartition> = attrs
+        let slow: Vec<Vec<Vec<usize>>> = attrs
             .iter()
-            .map(|&a| reference::partition_of_column(rel, a))
+            .map(|&a| reference::partition_classes(&cols[a.0]))
             .collect();
         let elapsed = ms(t0.elapsed());
-        assert_eq!(fast, slow, "columnar partitions differ from the reference");
+        for (f, s) in fast.iter().zip(&slow) {
+            assert_eq!(
+                f.classes(),
+                s,
+                "columnar partitions differ from the reference"
+            );
+        }
         elapsed
     });
     print_line("partition_build", reference_ms, columnar_ms);
@@ -335,10 +344,15 @@ fn bench_tane(rel: &Relation, obj: &mut String) {
     let _ = write!(obj, ",\n      \"tane_fds\": {}", fast.fds.len());
 }
 
-fn bench_md_blocking(rel: &Relation, n: usize, obj: &mut String) -> Option<f64> {
+fn bench_md_blocking(
+    rel: &Relation,
+    ref_cols: Option<&[Vec<Value>]>,
+    obj: &mut String,
+) -> Option<f64> {
     let key = attr(rel, "key");
     let lo = attr(rel, "lo");
-    let specs = [(key, PairSpec::Eq), (lo, PairSpec::Band(5.0))];
+    const THETA: f64 = 5.0;
+    let specs = [(key, PairSpec::Eq), (lo, PairSpec::Band(THETA))];
     for &(a, spec) in &specs {
         let _ = PairIndex::build_attr(rel, a, spec);
     }
@@ -348,20 +362,21 @@ fn bench_md_blocking(rel: &Relation, n: usize, obj: &mut String) -> Option<f64> 
         .map(|&(a, spec)| PairIndex::build_attr(rel, a, spec))
         .collect();
     let columnar_ms = ms(t0.elapsed());
-    let reference_ms = (n <= REFERENCE_CAP).then(|| {
-        prewarm_reference(rel);
-        for &(a, spec) in &specs {
-            let _ = reference::pair_index(rel, a, spec);
-        }
+    let reference_ms = ref_cols.map(|cols| {
+        let (key_col, lo_col) = (&cols[key.0], &cols[lo.0]);
+        let _ = (
+            reference::eq_classes(key_col),
+            reference::band_index(lo_col, THETA),
+        );
         let t0 = Instant::now();
-        let slow: Vec<PairIndex> = specs
-            .iter()
-            .map(|&(a, spec)| reference::pair_index(rel, a, spec))
-            .collect();
+        let slow = [
+            (reference::eq_classes(key_col), Vec::new()),
+            reference::band_index(lo_col, THETA),
+        ];
         let elapsed = ms(t0.elapsed());
-        for (f, s) in fast.iter().zip(&slow) {
-            assert_eq!(f.classes(), s.classes(), "columnar blocking classes differ");
-            assert_eq!(f.links(), s.links(), "columnar blocking links differ");
+        for (f, (classes, links)) in fast.iter().zip(&slow) {
+            assert_eq!(f.classes(), classes, "columnar blocking classes differ");
+            assert_eq!(f.links(), links, "columnar blocking links differ");
         }
         elapsed
     });
@@ -369,7 +384,7 @@ fn bench_md_blocking(rel: &Relation, n: usize, obj: &mut String) -> Option<f64> 
     push_metric(obj, "md_blocking", reference_ms, columnar_ms)
 }
 
-fn bench_od(rel: &Relation, n: usize, obj: &mut String) {
+fn bench_od(rel: &Relation, ref_cols: Option<&[Vec<Value>]>, obj: &mut String) {
     let s = rel.schema();
     let holds = Od::new(
         s,
@@ -386,9 +401,11 @@ fn bench_od(rel: &Relation, n: usize, obj: &mut String) {
     let fast = (holds.holds(rel), broken.holds(rel));
     let columnar_ms = ms(t0.elapsed());
     assert!(fast.0, "monotone OD must hold on the workload");
-    let sorted = |od: &Od| reference::od_single_atom_sorted(rel, od.lhs()[0], od.rhs()[0]);
-    let reference_ms = (n <= REFERENCE_CAP).then(|| {
-        prewarm_reference(rel);
+    let reference_ms = ref_cols.map(|cols| {
+        let sorted = |od: &Od| {
+            let ((a, da), (b, db)) = (od.lhs()[0], od.rhs()[0]);
+            reference::od_single_atom_sorted((&cols[a.0], da), (&cols[b.0], db))
+        };
         let _ = (sorted(&holds), sorted(&broken));
         let t0 = Instant::now();
         let slow = (sorted(&holds), sorted(&broken));

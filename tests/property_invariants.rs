@@ -393,10 +393,10 @@ mod partition_cache {
     }
 
     /// The same ledger law over adversarial *mutated* columnar relations:
-    /// random cell overwrites orphan dictionary entries and invalidate lazy
-    /// views, but the cache's byte accounting must stay exact and the
-    /// relation's own footprint estimate must stay monotone (mutation only
-    /// grows dictionaries; no lazy views were built to shrink).
+    /// random cell overwrites orphan dictionary entries and invalidate the
+    /// sorted-run index, but the cache's byte accounting must stay exact
+    /// and the relation's own footprint estimate must stay monotone
+    /// (mutation only grows dictionaries; no index was built to shrink).
     #[test]
     fn delta_ledger_holds_for_mutated_columnar_relations() {
         use common::arbitrary_relation;
@@ -726,8 +726,8 @@ mod columnar {
     use std::collections::BTreeSet;
 
     /// Reading every row back out and rebuilding a relation from those rows
-    /// reproduces the original exactly — dictionaries, null bitmaps and all
-    /// lazy views rebuilt from scratch. Includes NaN / ±inf / −0.0 floats
+    /// reproduces the original exactly — dictionaries, null bitmaps and
+    /// sorted-run indexes rebuilt from scratch. Includes NaN / ±inf / −0.0 floats
     /// and nulls, which a lossy representation would conflate.
     #[test]
     fn row_columnar_round_trip_lossless() {
@@ -927,9 +927,64 @@ mod columnar {
     }
 }
 
+/// Checks a [`deptree::relation::pairgen::PairIndex`] built over the
+/// column `col` against the `Value`-level references: its classes equal
+/// the reference classes for `spec` exactly, its Eq/Band links equal the
+/// reference sweep's, and its candidates — enumerated once, each pair
+/// `i < j` and none twice — cover every brute-force matching pair, are
+/// exactly those pairs when the index claims to be exact, and number
+/// `n_candidates()`.
+fn assert_index_matches_reference(
+    idx: &deptree::relation::pairgen::PairIndex,
+    col: &[deptree::relation::Value],
+    spec: deptree::relation::pairgen::PairSpec,
+    label: &str,
+) {
+    use common::reference;
+    use deptree::relation::pairgen::PairSpec;
+    let (classes, links) = match spec {
+        PairSpec::Eq => (reference::eq_classes(col), Some(Vec::new())),
+        PairSpec::Band(theta) => {
+            let (classes, links) = reference::band_index(col, theta);
+            (classes, Some(links))
+        }
+        PairSpec::Edit(_) => (reference::edit_classes(col), None),
+        PairSpec::Empty | PairSpec::All => (Vec::new(), Some(Vec::new())),
+    };
+    assert_eq!(idx.classes(), classes, "{label}: classes");
+    if let Some(links) = links {
+        assert_eq!(idx.links(), links, "{label}: links");
+    }
+    let mut candidates = std::collections::BTreeSet::new();
+    idx.for_each_candidate(|i, j| {
+        assert!(i < j, "{label}: unordered candidate ({i},{j})");
+        assert!(candidates.insert((i, j)), "{label}: duplicate ({i},{j})");
+        true
+    });
+    assert_eq!(
+        idx.n_candidates(),
+        candidates.len() as u64,
+        "{label}: n_candidates"
+    );
+    let matching = reference::matching_pairs(col, spec);
+    for pair in &matching {
+        assert!(
+            candidates.contains(pair),
+            "{label}: matching pair {pair:?} not generated"
+        );
+    }
+    if idx.is_exact() {
+        assert_eq!(
+            candidates.len(),
+            matching.len(),
+            "{label}: exact index generated non-matching pairs"
+        );
+    }
+}
+
 mod kernels {
     use super::*;
-    use common::arbitrary_relation;
+    use common::{arbitrary_relation, reference};
     use deptree::relation::pairgen::{band_pairs_sorted, PairIndex, PairSpec};
     use deptree::relation::{PartitionCache, ProductScratch};
 
@@ -1016,40 +1071,23 @@ mod kernels {
         }
     }
 
-    /// The distinct-value q-gram edit index generates exactly the candidate
-    /// set of the per-row reference builder: same classes, same links, same
-    /// enumeration order — the columnar build only deduplicates *work*,
-    /// never candidates.
+    /// The distinct-value q-gram edit index keeps the per-row rendered-text
+    /// classes exactly and generates every pair within edit distance `k`
+    /// — the columnar build only deduplicates *work*, never candidates.
     #[test]
     fn distinct_gram_index_equals_per_row_reference() {
         for (mut rng, case) in cases(63) {
             let r = arbitrary_relation(&mut rng);
             for a in r.schema().ids() {
+                let col = reference::column(&r, a);
                 for k in [0usize, 1, 2] {
-                    let fast = PairIndex::build_attr(&r, a, PairSpec::Edit(k));
-                    let reference = PairIndex::build(r.column(a), PairSpec::Edit(k));
-                    assert_eq!(
-                        fast.classes(),
-                        reference.classes(),
-                        "case {case}: classes differ for {a:?} k={k}"
+                    let spec = PairSpec::Edit(k);
+                    assert_index_matches_reference(
+                        &PairIndex::build_attr(&r, a, spec),
+                        &col,
+                        spec,
+                        &format!("case {case}: {a:?} k={k}"),
                     );
-                    assert_eq!(
-                        fast.links(),
-                        reference.links(),
-                        "case {case}: links differ for {a:?} k={k}"
-                    );
-                    assert_eq!(fast.n_candidates(), reference.n_candidates(), "case {case}");
-                    let mut got = Vec::new();
-                    fast.for_each_candidate(|i, j| {
-                        got.push((i, j));
-                        true
-                    });
-                    let mut want = Vec::new();
-                    reference.for_each_candidate(|i, j| {
-                        want.push((i, j));
-                        true
-                    });
-                    assert_eq!(got, want, "case {case}: candidate enumeration diverged");
                 }
             }
         }
@@ -1100,9 +1138,11 @@ mod code_native_kernels {
     use super::*;
     use common::reference;
     use common::{arbitrary_relation, mixed_relation};
+    use deptree::discovery::ecfd;
     use deptree::discovery::od;
+    use deptree::quality::optimize::conjunctive_selectivity;
     use deptree::relation::examples::{dataspace_cd, hotels_r1, hotels_r5, hotels_r6, hotels_r7};
-    use deptree::relation::pairgen::{PairIndex, PairSpec};
+    use deptree::relation::pairgen::{best_index, count_pairs, PairIndex, PairSpec};
     use deptree::relation::{parse_csv, RelationBuilder, Schema, Value, ValueType};
 
     fn assert_distinct_on_every_subset(r: &Relation, label: &str) {
@@ -1182,17 +1222,49 @@ mod code_native_kernels {
         out
     }
 
-    /// [`edge_relation`], after overwrites, and after a row selection.
+    /// All-numeric edge cells — nulls, NaN, ±∞, ±0.0 and numerically
+    /// equal `Int`/`Float` pairs — with no string in either column.
+    fn numeric_edge_relation() -> Relation {
+        let cells = [
+            Value::float(f64::INFINITY),
+            Value::Null,
+            Value::float(-0.0),
+            Value::int(3),
+            Value::float(f64::NEG_INFINITY),
+            Value::float(0.0),
+            Value::float(3.0),
+            Value::float(f64::NAN),
+            Value::int(5),
+            Value::float(f64::INFINITY),
+            Value::float(2.5),
+            Value::Null,
+        ];
+        let mut b = RelationBuilder::new()
+            .attr("p", ValueType::Numeric)
+            .attr("q", ValueType::Numeric);
+        for (i, v) in cells.iter().enumerate() {
+            b = b.row(vec![v.clone(), cells[(i * 5) % cells.len()].clone()]);
+        }
+        b.build().expect("consistent arity")
+    }
+
+    /// [`edge_relation`] and [`numeric_edge_relation`], each also after
+    /// overwrites and after a row selection.
     fn edge_variants() -> Vec<(String, Relation)> {
-        let mut r = edge_relation();
-        let mut out = vec![("edges".to_string(), r.clone())];
-        r.set_value(0, AttrId(0), Value::float(-1.5));
-        r.set_value(1, AttrId(1), Value::int(9));
-        out.push((
-            "edges after select".to_string(),
-            r.select_rows(&[9, 0, 4, 4, 5, 2]),
-        ));
-        out.push(("edges after set".to_string(), r));
+        let mut out = Vec::new();
+        for (name, mut r) in [
+            ("edges", edge_relation()),
+            ("numeric edges", numeric_edge_relation()),
+        ] {
+            out.push((name.to_string(), r.clone()));
+            r.set_value(0, AttrId(0), Value::float(-1.5));
+            r.set_value(1, AttrId(1), Value::int(9));
+            out.push((
+                format!("{name} after select"),
+                r.select_rows(&[9, 0, 4, 4, 5, 2]),
+            ));
+            out.push((format!("{name} after set"), r));
+        }
         out
     }
 
@@ -1219,23 +1291,22 @@ mod code_native_kernels {
         }
     }
 
-    fn assert_same_index(fast: &PairIndex, want: &PairIndex, label: &str) {
-        assert_eq!(fast.classes(), want.classes(), "{label}: classes");
-        assert_eq!(fast.links(), want.links(), "{label}: links");
-        assert_eq!(
-            (fast.is_indexed(), fast.is_exact(), fast.n_candidates()),
-            (want.is_indexed(), want.is_exact(), want.n_candidates()),
-            "{label}: index shape"
-        );
-        let pairs = |idx: &PairIndex| {
-            let mut out = Vec::new();
-            idx.for_each_candidate(|i, j| {
-                out.push((i, j));
-                true
-            });
-            out
-        };
-        assert_eq!(pairs(fast), pairs(want), "{label}: candidate order");
+    /// Brute-force count of the row pairs matching every `(attr, spec)`
+    /// atom, over materialised columns.
+    fn brute_force_count(cols: &[Vec<Value>], specs: &[(AttrId, PairSpec)]) -> u64 {
+        let n = cols.first().map_or(0, Vec::len);
+        let mut total = 0;
+        for i in 0..n {
+            for j in i + 1..n {
+                if specs
+                    .iter()
+                    .all(|&(a, spec)| reference::pair_matches(spec, &cols[a.0][i], &cols[a.0][j]))
+                {
+                    total += 1;
+                }
+            }
+        }
+        total
     }
 
     fn assert_kernels_match_references(r: &Relation, label: &str) {
@@ -1258,15 +1329,17 @@ mod code_native_kernels {
                 "{label}: distinct_count {set:?}"
             );
             assert_eq!(
-                StrippedPartition::from_attrs(r, set),
+                StrippedPartition::from_attrs(r, set).classes(),
                 reference::partition_of_attrs(r, set),
                 "{label}: from_attrs {set:?}"
             );
         }
+        let cols: Vec<Vec<Value>> = r.schema().ids().map(|a| reference::column(r, a)).collect();
         for a in r.schema().ids() {
+            let col = &cols[a.0];
             assert_eq!(
-                StrippedPartition::from_column(r, a),
-                reference::partition_of_column(r, a),
+                StrippedPartition::from_column(r, a).classes(),
+                reference::partition_classes(col),
                 "{label}: from_column {a:?}"
             );
             for spec in [
@@ -1277,11 +1350,68 @@ mod code_native_kernels {
                 PairSpec::Edit(1),
                 PairSpec::Edit(2),
             ] {
-                assert_same_index(
+                assert_index_matches_reference(
                     &PairIndex::build_attr(r, a, spec),
-                    &reference::pair_index(r, a, spec),
+                    col,
+                    spec,
                     &format!("{label}: build_attr {a:?} {spec:?}"),
                 );
+            }
+            let mut conjunctions: Vec<Vec<(AttrId, PairSpec)>> =
+                [PairSpec::Eq, PairSpec::Band(0.0), PairSpec::Band(2.5)]
+                    .into_iter()
+                    .map(|spec| vec![(a, spec)])
+                    .collect();
+            conjunctions.extend(
+                r.schema()
+                    .ids()
+                    .map(|b| vec![(a, PairSpec::Eq), (b, PairSpec::Band(2.5))]),
+            );
+            for specs in conjunctions {
+                assert_eq!(
+                    count_pairs(r, &specs),
+                    Some(brute_force_count(&cols, &specs)),
+                    "{label}: count_pairs {specs:?}"
+                );
+            }
+        }
+        assert_live_cell_readers_match_fresh_relation(r, label);
+    }
+
+    /// eCFD discovery and the conjunctive-selectivity estimate read live
+    /// cells only: on a relation whose dictionary holds orphans, they give
+    /// what they give on a fresh relation built from the same rows.
+    fn assert_live_cell_readers_match_fresh_relation(r: &Relation, label: &str) {
+        let fresh = Relation::from_rows(r.schema().clone(), (0..r.n_rows()).map(|row| r.row(row)))
+            .expect("same arity");
+        let cfg = ecfd::ECfdConfig::default();
+        assert_eq!(
+            ecfd::discover(r, &cfg),
+            ecfd::discover(&fresh, &cfg),
+            "{label}: ecfd::discover"
+        );
+        if r.n_rows() == 0 {
+            return;
+        }
+        // A value from the first and the last row, and one that is only
+        // ever an orphan (`random_variants` overwrites cells with it).
+        let probes = |a: AttrId| {
+            [
+                r.value(0, a).clone(),
+                r.value(r.n_rows() - 1, a).clone(),
+                Value::str("orphan-maker"),
+            ]
+        };
+        for a in r.schema().ids() {
+            for b in r.schema().ids() {
+                let (pa, pb) = (probes(a), probes(b));
+                for (va, vb) in pa.iter().zip(pb.iter().rev()) {
+                    assert_eq!(
+                        conjunctive_selectivity(r, a, va, b, vb),
+                        conjunctive_selectivity(&fresh, a, va, b, vb),
+                        "{label}: conjunctive_selectivity {a:?}={va:?} {b:?}={vb:?}"
+                    );
+                }
             }
         }
     }
@@ -1300,6 +1430,51 @@ mod code_native_kernels {
                 assert_kernels_match_references(&r, &label);
             }
         }
+    }
+
+    /// The sorted-run index is the only lazy view a column builds: once
+    /// it exists on every column, no kernel — numeric bands included —
+    /// grows the relation's footprint.
+    #[test]
+    fn kernels_build_no_view_beyond_the_index() {
+        let mut b = RelationBuilder::new()
+            .attr("k", ValueType::Numeric)
+            .attr("x", ValueType::Numeric)
+            .attr("y", ValueType::Numeric);
+        for i in 0..300i64 {
+            let x = if i % 17 == 0 {
+                Value::Null
+            } else {
+                Value::float(i as f64 / 4.0)
+            };
+            b = b.row(vec![Value::int(i % 7), x, Value::int(2 * i)]);
+        }
+        let r = b.build().expect("consistent arity");
+        let (k, x, y) = (AttrId(0), AttrId(1), AttrId(2));
+        for a in r.schema().ids() {
+            let _ = r.col(a).index();
+        }
+        let before = r.approx_bytes();
+        let all = r.all_attrs();
+        let _ = r.group_by(AttrSet::single(k));
+        let _ = r.distinct_count(all);
+        let _ = r.sorted_rows(all);
+        let _ = StrippedPartition::from_attrs(&r, AttrSet::single(k).insert(y));
+        let banded = [(k, PairSpec::Eq), (x, PairSpec::Band(1.0))];
+        assert!(count_pairs(&r, &banded).is_some_and(|c| c > 0));
+        assert!(count_pairs(&r, &[(x, PairSpec::Band(1.0))]).is_some_and(|c| c > 0));
+        let _ = best_index(&r, &banded);
+        let od = Od::new(
+            r.schema(),
+            vec![(y, Direction::Asc)],
+            vec![(x, Direction::Asc)],
+        );
+        let _ = od.holds(&r);
+        assert_eq!(
+            r.approx_bytes(),
+            before,
+            "a kernel built a view beyond the index"
+        );
     }
 
     #[test]
@@ -1376,6 +1551,7 @@ mod code_native_kernels {
 
     fn assert_od_validators_agree(r: &Relation, label: &str) {
         let s = r.schema();
+        let cols: Vec<Vec<Value>> = s.ids().map(|a| reference::column(r, a)).collect();
         let dirs = [Direction::Asc, Direction::Desc];
         for a in s.ids() {
             for b in s.ids() {
@@ -1387,7 +1563,7 @@ mod code_native_kernels {
                         let fast = Od::holds_single_atom(r, (a, da), (b, db));
                         assert_eq!(
                             fast,
-                            reference::od_single_atom_sorted(r, (a, da), (b, db)),
+                            reference::od_single_atom_sorted((&cols[a.0], da), (&cols[b.0], db)),
                             "{label}: holds_single_atom differs from the sorted reference on \
                              {a:?}^{da:?} -> {b:?}^{db:?}"
                         );
@@ -1408,6 +1584,7 @@ mod code_native_kernels {
             ("r7", hotels_r7()),
             ("dataspace", dataspace_cd()),
             ("edges", edge_relation()),
+            ("numeric edges", numeric_edge_relation()),
         ];
         for (label, r) in &tables {
             assert_od_validators_agree(r, label);
