@@ -88,6 +88,7 @@ fn mfd_exact_vs_pivot(c: &mut Criterion) {
 }
 
 fn dc_evidence_builders(c: &mut Criterion) {
+    use deptree_core::engine::Exec;
     use deptree_discovery::dc;
     let mut group = c.benchmark_group("ablation/dc_evidence");
     group.sample_size(10);
@@ -99,10 +100,10 @@ fn dc_evidence_builders(c: &mut Criterion) {
             dc::evidence_sets(black_box(&r), &preds, &mut stats)
         })
     });
-    group.bench_function("grouped_bfastdc_style", |b| {
+    group.bench_function("blocked_rank_mask", |b| {
         b.iter(|| {
             let mut stats = dc::FastDcStats::default();
-            dc::evidence_sets_grouped(black_box(&r), &preds, &mut stats)
+            dc::evidence_sets_blocked(black_box(&r), &preds, &mut stats, &Exec::unbounded())
         })
     });
     group.finish();

@@ -26,6 +26,14 @@ pub fn minimal_hitting_sets_bounded(
     exec: &Exec,
 ) -> (Vec<u64>, bool) {
     assert!(universe <= 64, "hitting-set universe capped at 64");
+    // The family reduction below sorts the family and is quadratic in it
+    // (FastFD hands it thousands of difference sets per RHS), so an
+    // expired deadline or a cancellation is polled before it starts and
+    // every 256 members while it runs. Node and row budgets stay with the
+    // DFS ticks, so their cutoffs do not move.
+    if exec.interrupted() {
+        return (Vec::new(), false);
+    }
     // Reduce to inclusion-minimal family members: hitting a subset implies
     // hitting its supersets.
     let mut minimal_family: Vec<u64> = Vec::new();
@@ -37,7 +45,10 @@ pub fn minimal_hitting_sets_bounded(
     let mut sorted: Vec<u64> = family.to_vec();
     sorted.sort_by_key(|s| (s.count_ones(), *s));
     sorted.dedup();
-    for &s in &sorted {
+    for (i, &s) in sorted.iter().enumerate() {
+        if (i + 1).is_multiple_of(256) && exec.interrupted() {
+            return (Vec::new(), false);
+        }
         // Keep s only if no already-kept set is a subset of it.
         if !minimal_family.iter().any(|&m| m & !s == 0) {
             minimal_family.push(s);
@@ -154,6 +165,19 @@ mod tests {
     #[test]
     fn unhittable_family() {
         assert!(minimal_hitting_sets(&[0u64], 4).is_empty());
+    }
+
+    #[test]
+    fn interrupted_search_returns_nothing_and_incomplete() {
+        use deptree_core::engine::{Budget, CancelToken};
+        let token = CancelToken::new();
+        token.cancel();
+        let exec = Exec::with_cancel(Budget::default(), token);
+        let family = [set(&[0, 1]), set(&[2, 3])];
+        assert_eq!(
+            minimal_hitting_sets_bounded(&family, 4, &exec),
+            (Vec::new(), false)
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use crate::cover::{minimal_hitting_sets, minimal_hitting_sets_bounded};
 use deptree_core::engine::{pool, Exec, Outcome};
-use deptree_core::{CmpOp, Dc, Predicate};
-use deptree_relation::{AttrId, Relation, ValueType};
+use deptree_core::{CmpOp, Dc, Operand, Predicate};
+use deptree_relation::{AttrId, Relation, Value, ValueType};
 use std::collections::HashMap;
 
 /// Configuration for [`discover`].
@@ -103,13 +103,171 @@ pub fn evidence_sets_bounded(
     (evidence, complete)
 }
 
+/// Mask-table slots: how a pair compares on one attribute.
+const LT: usize = 0;
+const EQ: usize = 1;
+const GT: usize = 2;
+const BOTH_NULL: usize = 3;
+const ONE_NULL: usize = 4;
+/// The slot of the reversed pair `(tβ, tα)`: `<` and `>` trade places.
+const SWAPPED: [usize; 5] = [GT, EQ, LT, BOTH_NULL, ONE_NULL];
+/// The rank standing in for a null cell.
+const NULL_RANK: u32 = u32::MAX;
+
+/// The mask-table slot of a pair whose cells have ranks `a` and `b`.
+#[inline]
+fn slot(a: u32, b: u32) -> usize {
+    if a == NULL_RANK || b == NULL_RANK {
+        if a == b {
+            BOTH_NULL
+        } else {
+            ONE_NULL
+        }
+    } else {
+        match a.cmp(&b) {
+            std::cmp::Ordering::Less => LT,
+            std::cmp::Ordering::Equal => EQ,
+            std::cmp::Ordering::Greater => GT,
+        }
+    }
+}
+
+/// The pair kernel of evidence construction and validation — the
+/// bitwise-reuse idea of Pena & de Almeida's BFASTDC (§4.3.4) on
+/// dictionary codes. The same-attribute predicates `tα.A op tβ.A` are
+/// grouped by attribute; each group has one numeric rank per tuple
+/// ([`deptree_relation::ColumnIndex::num_rank`], nulls mapped to
+/// [`NULL_RANK`]) and a mask table holding, for each outcome slot, the
+/// bits of the group's predicates that outcome satisfies. A pair's
+/// evidence is then one table lookup per attribute. Any other predicate
+/// falls back to [`Predicate::eval`].
+struct PairKernel<'a> {
+    r: &'a Relation,
+    /// The row each tuple of the kernel stands for.
+    rows: Vec<usize>,
+    /// One mask table per same-attribute group.
+    masks: Vec<[u64; 5]>,
+    /// Tuple-major ranks: `ranks[t * masks.len() + g]`.
+    ranks: Vec<u32>,
+    /// Predicates outside the groups, with their bit.
+    generic: Vec<(usize, &'a Predicate)>,
+}
+
+impl<'a> PairKernel<'a> {
+    fn new(r: &'a Relation, preds: &'a [Predicate], rows: Vec<usize>) -> Self {
+        // `CmpOp::eval` on one witness pair per slot fills the masks, so
+        // the kernel inherits its null semantics exactly.
+        let (lo, hi) = (Value::int(0), Value::int(1));
+        let witnesses = [
+            (&lo, &hi),                   // LT
+            (&lo, &lo),                   // EQ
+            (&hi, &lo),                   // GT
+            (&Value::Null, &Value::Null), // BOTH_NULL
+            (&lo, &Value::Null),          // ONE_NULL
+        ];
+        let mut attrs: Vec<AttrId> = Vec::new();
+        let mut masks: Vec<[u64; 5]> = Vec::new();
+        let mut generic = Vec::new();
+        for (k, p) in preds.iter().enumerate() {
+            let a = match (&p.left, &p.right) {
+                (Operand::First(a), Operand::Second(b)) if a == b => *a,
+                _ => {
+                    generic.push((k, p));
+                    continue;
+                }
+            };
+            let g = attrs.iter().position(|&x| x == a).unwrap_or_else(|| {
+                attrs.push(a);
+                masks.push([0; 5]);
+                attrs.len() - 1
+            });
+            for (mask, (x, y)) in masks[g].iter_mut().zip(witnesses) {
+                *mask |= u64::from(p.op.eval(x, y)) << k;
+            }
+        }
+        let cols: Vec<_> = attrs
+            .iter()
+            .map(|&a| (r.col(a), r.col(a).index()))
+            .collect();
+        let mut ranks = Vec::with_capacity(rows.len() * cols.len());
+        for &row in &rows {
+            ranks.extend(cols.iter().map(|(col, ix)| {
+                if col.is_null(row) {
+                    NULL_RANK
+                } else {
+                    ix.num_rank(col.code(row))
+                }
+            }));
+        }
+        PairKernel {
+            r,
+            rows,
+            masks,
+            ranks,
+            generic,
+        }
+    }
+
+    /// Number of tuples.
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Evidence of the tuple pair `(t, u)` and of its reverse `(u, t)`.
+    #[inline]
+    fn evidence(&self, t: usize, u: usize) -> (u64, u64) {
+        let g = self.masks.len();
+        let (rt, ru) = (&self.ranks[t * g..][..g], &self.ranks[u * g..][..g]);
+        let (mut fwd, mut rev) = (0u64, 0u64);
+        for ((mask, &a), &b) in self.masks.iter().zip(rt).zip(ru) {
+            let s = slot(a, b);
+            fwd |= mask[s];
+            rev |= mask[SWAPPED[s]];
+        }
+        let (i, j) = (self.rows[t], self.rows[u]);
+        for &(k, p) in &self.generic {
+            fwd |= u64::from(p.eval(self.r, i, j)) << k;
+            rev |= u64::from(p.eval(self.r, j, i)) << k;
+        }
+        (fwd, rev)
+    }
+}
+
+/// The distinct-tuple classes of `r`, numbered in order of first row:
+/// each class's first row and size. Classes are refined one attribute at
+/// a time on `(class, code)` keys; code equality is value equality, so a
+/// class holds exactly the rows with one value tuple.
+fn tuple_classes(r: &Relation) -> (Vec<usize>, Vec<usize>) {
+    let mut class = vec![0u32; r.n_rows()];
+    let mut n_classes = usize::from(r.n_rows() > 0);
+    for a in r.schema().ids() {
+        let mut ids: HashMap<(u32, u32), u32> = HashMap::with_capacity(n_classes);
+        for (c, &code) in class.iter_mut().zip(r.col(a).codes()) {
+            let next = ids.len() as u32;
+            *c = *ids.entry((*c, code)).or_insert(next);
+        }
+        n_classes = ids.len();
+    }
+    let mut firsts = Vec::with_capacity(n_classes);
+    let mut sizes = vec![0usize; n_classes];
+    for (row, &c) in class.iter().enumerate() {
+        if c as usize == firsts.len() {
+            firsts.push(row);
+        }
+        sizes[c as usize] += 1;
+    }
+    (firsts, sizes)
+}
+
 /// Blocked evidence-set construction: group rows into distinct-tuple
-/// classes first, evaluate predicates once per ordered class pair, and
-/// account each result with the class-product multiplicity. An evidence
-/// bitset is a pure function of the two tuples' values, so rows within a
-/// class are interchangeable and the multiset equals [`evidence_sets`]'s
-/// exactly — in `O(d²·|P|)` for `d` distinct tuples instead of
-/// `O(n²·|P|)`. This is the default path of [`discover_bounded`].
+/// classes first, evaluate each unordered class pair once with the
+/// rank/mask kernel (both orientations from one comparison per
+/// attribute), and account each result with the class-product
+/// multiplicity. An evidence bitset is a pure function of the two tuples'
+/// values, so rows within a class are interchangeable and the multiset
+/// equals [`evidence_sets`]'s exactly — in `O(d²·|A|)` for `d` distinct
+/// tuples over `|A|` attributes instead of `O(n²·|P|)`. This is the
+/// default path of [`discover_bounded`].
 ///
 /// Budgeted like [`evidence_sets_bounded`]: every *represented* ordered
 /// pair costs one engine row tick (`Σ = n(n−1)` when complete, matching
@@ -126,53 +284,49 @@ pub fn evidence_sets_blocked(
 ) -> (HashMap<u64, usize>, bool) {
     assert!(preds.len() <= 64, "predicate space capped at 64 bits");
     let mut span = exec.span("dc.evidence");
-    let mut classes: Vec<Vec<usize>> = r.group_by(r.all_attrs()).into_values().collect();
-    for c in &mut classes {
-        c.sort_unstable();
-    }
-    classes.sort_unstable();
+    let (firsts, sizes) = tuple_classes(r);
     // Serial prefix grant: block b covers the intra pairs of class b plus
     // both orientations against every later class.
+    let mut later = sizes.iter().sum::<usize>();
     let mut granted = 0usize;
     let mut complete = true;
-    for (b, c1) in classes.iter().enumerate() {
-        let s1 = c1.len();
-        let later: usize = classes[b + 1..].iter().map(Vec::len).sum();
+    for &s1 in &sizes {
+        later -= s1;
         let cost = s1 * (s1 - 1) + 2 * s1 * later;
         if !exec.tick_rows(cost as u64) {
             complete = false;
             break;
         }
-        granted = b + 1;
+        granted += 1;
     }
+    let kernel = PairKernel::new(r, preds, firsts);
     let blocks: Vec<usize> = (0..granted).collect();
     let results = pool::map(exec.threads(), &blocks, |_, &b| {
         if exec.interrupted() {
             return None;
         }
-        let bits = |i: usize, j: usize| -> u64 {
-            let mut bits = 0u64;
-            for (k, p) in preds.iter().enumerate() {
-                if p.eval(r, i, j) {
-                    bits |= 1 << k;
-                }
-            }
-            bits
-        };
-        let c1 = &classes[b];
-        let rep1 = c1[0];
-        let s1 = c1.len();
-        let mut out: Vec<(u64, usize)> = Vec::new();
+        let s1 = sizes[b];
+        let mut out: Vec<(u64, usize)> = Vec::with_capacity(2 * (sizes.len() - b));
         if s1 > 1 {
             // All intra-class ordered pairs relate identical tuples and
             // share one evidence set.
-            out.push((bits(rep1, c1[1]), s1 * (s1 - 1)));
+            out.push((kernel.evidence(b, b).0, s1 * (s1 - 1)));
         }
-        for c2 in &classes[b + 1..] {
-            let mult = s1 * c2.len();
-            out.push((bits(rep1, c2[0]), mult));
-            out.push((bits(c2[0], rep1), mult));
+        for (c, &s2) in sizes.iter().enumerate().skip(b + 1) {
+            let (fwd, rev) = kernel.evidence(b, c);
+            out.push((fwd, s1 * s2));
+            out.push((rev, s1 * s2));
         }
+        // Keep only one entry per distinct evidence set until the merge.
+        out.sort_unstable_by_key(|&(bits, _)| bits);
+        out.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        out.shrink_to_fit();
         Some(out)
     });
     let mut evidence: HashMap<u64, usize> = HashMap::new();
@@ -192,80 +346,6 @@ pub fn evidence_sets_blocked(
     span.attr("blocks", granted as u64);
     span.attr("evidence_sets", evidence.len() as u64);
     (evidence, complete)
-}
-
-/// BFASTDC-style evidence-set construction: instead of evaluating every
-/// predicate generically per pair, group the predicates by attribute,
-/// compare each pair's attribute values *once*, and set all of that
-/// attribute's predicate bits from the single comparison outcome — the
-/// bitwise-reuse idea of Pena & de Almeida (§4.3.4). Produces exactly the
-/// same evidence sets as [`evidence_sets`] (tested), several times faster
-/// on wide operator sets (ablation bench).
-pub fn evidence_sets_grouped(
-    r: &Relation,
-    preds: &[Predicate],
-    stats: &mut FastDcStats,
-) -> HashMap<u64, usize> {
-    use deptree_core::Operand;
-    assert!(preds.len() <= 64, "predicate space capped at 64 bits");
-    // Per attribute: (bit, op) lists for symmetric same-attribute
-    // predicates; anything else falls back to generic evaluation.
-    let mut by_attr: HashMap<AttrId, Vec<(usize, CmpOp)>> = HashMap::new();
-    let mut generic: Vec<(usize, &Predicate)> = Vec::new();
-    for (k, p) in preds.iter().enumerate() {
-        match (&p.left, &p.right) {
-            (Operand::First(a), Operand::Second(b)) if a == b => {
-                by_attr.entry(*a).or_default().push((k, p.op));
-            }
-            _ => generic.push((k, p)),
-        }
-    }
-    let attrs: Vec<(AttrId, Vec<(usize, CmpOp)>)> = by_attr.into_iter().collect();
-    let mut evidence: HashMap<u64, usize> = HashMap::new();
-    for i in 0..r.n_rows() {
-        for j in 0..r.n_rows() {
-            if i == j {
-                continue;
-            }
-            stats.pairs_evaluated += 1;
-            let mut bits = 0u64;
-            for (attr, ops) in &attrs {
-                let (vi, vj) = (r.value(i, *attr), r.value(j, *attr));
-                if vi.is_null() || vj.is_null() {
-                    // Match CmpOp::eval's null semantics predicate-wise.
-                    for &(k, op) in ops {
-                        if op.eval(vi, vj) {
-                            bits |= 1 << k;
-                        }
-                    }
-                    continue;
-                }
-                let ord = vi.numeric_cmp(vj);
-                for &(k, op) in ops {
-                    let sat = match (op, ord) {
-                        (CmpOp::Eq, std::cmp::Ordering::Equal)
-                        | (CmpOp::Leq, std::cmp::Ordering::Equal)
-                        | (CmpOp::Geq, std::cmp::Ordering::Equal) => true,
-                        (CmpOp::Neq, o) => o != std::cmp::Ordering::Equal,
-                        (CmpOp::Lt | CmpOp::Leq, std::cmp::Ordering::Less) => true,
-                        (CmpOp::Gt | CmpOp::Geq, std::cmp::Ordering::Greater) => true,
-                        _ => false,
-                    };
-                    if sat {
-                        bits |= 1 << k;
-                    }
-                }
-            }
-            for (k, p) in &generic {
-                if p.eval(r, i, j) {
-                    bits |= 1 << k;
-                }
-            }
-            *evidence.entry(bits).or_default() += 1;
-        }
-    }
-    stats.n_evidence_sets = evidence.len();
-    evidence
 }
 
 /// The result of a FASTDC run.
@@ -302,11 +382,7 @@ pub fn discover_bounded(r: &Relation, cfg: &DcConfig, exec: &Exec) -> Outcome<Fa
         ..Default::default()
     };
     let (evidence, evidence_complete) = evidence_sets_blocked(r, &preds, &mut stats, exec);
-    let full: u64 = if preds.len() == 64 {
-        u64::MAX
-    } else {
-        (1u64 << preds.len()) - 1
-    };
+    let full = full_mask(preds.len());
 
     // A-FASTDC: drop the least-frequent evidence sets up to the ε budget.
     let total_pairs: usize = evidence.values().sum();
@@ -330,7 +406,15 @@ pub fn discover_bounded(r: &Relation, cfg: &DcConfig, exec: &Exec) -> Outcome<Fa
         .map(|&(bits, _)| full & !bits)
         .collect();
 
+    let mut span = exec.span("dc.covers");
     let (covers, _) = minimal_hitting_sets_bounded(&complements, preds.len(), exec);
+    span.attr("complements", complements.len() as u64);
+    span.attr("covers", covers.len() as u64);
+    drop(span);
+    // With a truncated evidence scan every cover is only a candidate,
+    // validated on all row pairs before it is emitted.
+    let validator =
+        (!evidence_complete).then(|| PairKernel::new(r, &preds, (0..r.n_rows()).collect()));
     let mut dcs = Vec::new();
     for cover in covers {
         if cover.count_ones() as usize > cfg.max_predicates || cover == 0 {
@@ -345,33 +429,44 @@ pub fn discover_bounded(r: &Relation, cfg: &DcConfig, exec: &Exec) -> Outcome<Fa
         if is_contradictory(&chosen) {
             continue;
         }
-        // With a truncated evidence scan the cover is only a candidate:
-        // validate before emitting so partial results stay sound.
-        if !evidence_complete && !matches!(validate_bounded(r, &chosen, exec), Some(true)) {
-            continue;
+        if let Some(kernel) = &validator {
+            if !matches!(validate_bounded(kernel, cover, exec), Some(true)) {
+                continue;
+            }
         }
         dcs.push(Dc::new(r.schema(), chosen));
     }
     exec.finish(FastDcResult { dcs, stats })
 }
 
-/// Does `¬(⋀ preds)` hold on every ordered tuple pair? `None` when the
-/// budget died before the scan finished.
-fn validate_bounded(r: &Relation, preds: &[Predicate], exec: &Exec) -> Option<bool> {
-    for i in 0..r.n_rows() {
-        for j in 0..r.n_rows() {
+/// Does the DC whose predicates are the bits of `cover` hold on every
+/// ordered pair of `kernel`'s rows? A pair violates it exactly when its
+/// evidence contains `cover`. One engine row tick per pair; `None` when
+/// the budget died before the scan finished.
+fn validate_bounded(kernel: &PairKernel<'_>, cover: u64, exec: &Exec) -> Option<bool> {
+    for i in 0..kernel.len() {
+        for j in 0..kernel.len() {
             if i == j {
                 continue;
             }
             if !exec.tick_rows(1) {
                 return None;
             }
-            if preds.iter().all(|p| p.eval(r, i, j)) {
+            if kernel.evidence(i, j).0 & cover == cover {
                 return Some(false);
             }
         }
     }
     Some(true)
+}
+
+/// All bits of an `n`-predicate space.
+fn full_mask(n: usize) -> u64 {
+    if n == 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
 }
 
 /// Hydra-style discovery (Bleifuß et al., §4.3.4): avoid building the
@@ -392,20 +487,11 @@ pub fn discover_hydra(r: &Relation, cfg: &DcConfig, sample_stride: usize) -> Fas
         n_predicates: preds.len(),
         ..Default::default()
     };
-    let full: u64 = if preds.len() == 64 {
-        u64::MAX
-    } else {
-        (1u64 << preds.len()) - 1
-    };
+    let full = full_mask(preds.len());
+    let kernel = PairKernel::new(r, &preds, (0..r.n_rows()).collect());
     let pair_bits = |i: usize, j: usize, stats: &mut FastDcStats| -> u64 {
         stats.pairs_evaluated += 1;
-        let mut bits = 0u64;
-        for (k, p) in preds.iter().enumerate() {
-            if p.eval(r, i, j) {
-                bits |= 1 << k;
-            }
-        }
-        bits
+        kernel.evidence(i, j).0
     };
 
     // Phase 1: sampled evidence.
@@ -436,8 +522,6 @@ pub fn discover_hydra(r: &Relation, cfg: &DcConfig, sample_stride: usize) -> Fas
                 if i == j {
                     continue;
                 }
-                // Cheap pre-check: compute bits lazily only if some cover
-                // might be violated — here we always need the bits.
                 let bits = pair_bits(i, j, &mut stats);
                 if covers.iter().any(|&c| c & !bits == 0) && family.insert(bits) {
                     grew = true;
@@ -470,7 +554,6 @@ pub fn discover_hydra(r: &Relation, cfg: &DcConfig, sample_stride: usize) -> Fas
 /// Is the conjunction unsatisfiable for symmetric same-attribute
 /// predicates (the only kind [`predicate_space`] builds)?
 fn is_contradictory(preds: &[Predicate]) -> bool {
-    use deptree_core::Operand;
     let mut by_attr: HashMap<AttrId, Vec<CmpOp>> = HashMap::new();
     for p in preds {
         if let (Operand::First(a), Operand::Second(b)) = (&p.left, &p.right) {
@@ -504,7 +587,7 @@ mod tests {
     use super::*;
     use deptree_core::Dependency;
     use deptree_relation::examples::hotels_r7;
-    use deptree_relation::{RelationBuilder, ValueType};
+    use deptree_relation::RelationBuilder;
 
     #[test]
     fn predicate_space_shape() {
@@ -639,32 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_evidence_equals_naive() {
-        use deptree_synth::{categorical, CategoricalConfig};
-        let cfg = CategoricalConfig {
-            n_rows: 40,
-            n_key_attrs: 2,
-            n_dep_attrs: 1,
-            domain: 5,
-            error_rate: 0.1,
-            seed: 5,
-        };
-        let relations = [
-            hotels_r7(),
-            categorical::generate(&cfg, &mut deptree_synth::rng(cfg.seed)).relation,
-        ];
-        for r in relations {
-            let preds = predicate_space(&r);
-            let mut s1 = FastDcStats::default();
-            let mut s2 = FastDcStats::default();
-            let naive = evidence_sets(&r, &preds, &mut s1);
-            let grouped = evidence_sets_grouped(&r, &preds, &mut s2);
-            assert_eq!(naive, grouped);
-            assert_eq!(s1.pairs_evaluated, s2.pairs_evaluated);
-        }
-    }
-
-    #[test]
     fn blocked_evidence_equals_naive() {
         use deptree_synth::{categorical, CategoricalConfig};
         // Small-domain synthetics have many duplicate tuples, exercising
@@ -699,6 +756,51 @@ mod tests {
             assert!(complete);
             assert_eq!(naive, blocked);
             assert_eq!(s1.pairs_evaluated, s2.pairs_evaluated);
+        }
+    }
+
+    #[test]
+    fn kernel_validation_agrees_with_holds() {
+        // Every DC of one or two predicates, on the paper instance and on
+        // a table with nulls, NaN and Int/Float ties: the kernel's pair
+        // scan decides it exactly as `Dc::holds` does.
+        let mut b = RelationBuilder::new()
+            .attr("x", ValueType::Numeric)
+            .attr("c", ValueType::Categorical);
+        let xs = [
+            Value::int(2),
+            Value::float(2.0),
+            Value::Null,
+            Value::float(f64::NAN),
+            Value::int(-1),
+            Value::Null,
+        ];
+        for (i, x) in xs.iter().enumerate() {
+            let c = if i % 3 == 0 {
+                Value::Null
+            } else {
+                Value::str(if i % 2 == 0 { "a" } else { "b" })
+            };
+            b = b.row(vec![x.clone(), c]);
+        }
+        for r in [hotels_r7(), b.build().unwrap()] {
+            let preds = predicate_space(&r);
+            let kernel = PairKernel::new(&r, &preds, (0..r.n_rows()).collect());
+            for k1 in 0..preds.len() {
+                for k2 in k1..preds.len() {
+                    let cover = (1u64 << k1) | (1u64 << k2);
+                    let chosen: Vec<Predicate> = (0..preds.len())
+                        .filter(|&k| cover & (1 << k) != 0)
+                        .map(|k| preds[k].clone())
+                        .collect();
+                    let dc = Dc::new(r.schema(), chosen);
+                    assert_eq!(
+                        validate_bounded(&kernel, cover, &Exec::unbounded()),
+                        Some(dc.holds(&r)),
+                        "{dc}"
+                    );
+                }
+            }
         }
     }
 

@@ -241,9 +241,17 @@ pub fn discover_with_cache(
         // cache, and budget charges replay serially in canonical order so
         // row/memory exhaustion cuts at the same union at every thread
         // count.
+        // The join is quadratic in the level (500k pairs on a 1001-node
+        // level), so a deadline or cancellation is polled once per row:
+        // stopping here ends the search exactly as the next level's
+        // zero node grant would. Deterministic budgets never stop it.
         let mut unions: Vec<AttrSet> = Vec::new();
         let mut seen: HashSet<AttrSet> = HashSet::new();
+        let survivors: HashSet<AttrSet> = level.iter().copied().collect();
         for i in 0..level.len() {
+            if exec.interrupted() {
+                break 'search;
+            }
             for j in (i + 1)..level.len() {
                 let union = level[i].union(level[j]);
                 if union.len() != depth + 1 || !seen.insert(union) {
@@ -252,7 +260,7 @@ pub fn discover_with_cache(
                 // All |X|−1 subsets must survive in the current (pruned)
                 // level for the node to be generable — children of pruned
                 // nodes are implied or hopeless (standard TANE test).
-                let all_parents = union.iter().all(|c| level.contains(&union.remove(c)));
+                let all_parents = union.iter().all(|c| survivors.contains(&union.remove(c)));
                 if all_parents {
                     unions.push(union);
                 }

@@ -246,10 +246,9 @@ impl Relation {
     ///
     /// Returns a map from projected key to the (sorted) row indices holding
     /// that key. This is the workhorse behind grouping-based validation of
-    /// FDs, AFDs, PFDs, MFDs, MVDs, … — and, via the all-attribute
-    /// grouping, the tuple classing of FASTDC evidence sets. Grouping runs
-    /// on dictionary codes; the `Value` keys are materialized once per
-    /// distinct group, not once per row.
+    /// FDs, AFDs, PFDs, MFDs, MVDs, …. Grouping runs on dictionary codes;
+    /// the `Value` keys are materialized once per distinct group, not once
+    /// per row.
     pub fn group_by(&self, attrs: AttrSet) -> HashMap<Vec<Value>, Vec<usize>> {
         let cols: Vec<&Column> = attrs.iter().map(|a| &self.cols[a.0]).collect();
         self.group_rows_by_codes(attrs)

@@ -18,10 +18,17 @@
 //! (and identical at 1 vs 8 threads); the run aborts on any mismatch.
 //! Naive baselines above [`NAIVE_CAP`] rows are skipped (recorded as
 //! `null`): a 100k-row naive scan is 5·10⁹ pairs and exists only to be
-//! avoided.  The FASTDC baseline at 50k is [`dc::evidence_sets_grouped`]
+//! avoided.  The FASTDC baseline at 50k is
+//! [`reference::evidence_sets_grouped`] (from `tests/common/reference.rs`)
 //! — itself a full Θ(n²) pair scan, just with bitwise predicate reuse —
 //! while the plain per-predicate scan is additionally timed up to
-//! [`PLAIN_DC_CAP`] rows.
+//! [`PLAIN_DC_CAP`] rows.  FASTDC runs twice: on an all-int, null-free
+//! table (`dc_evidence`) and on one with nulls and `Int`/`Float` ties
+//! (`dc_evidence_nulls`), so every outcome of the rank/mask kernel —
+//! `<`, `=`, `>`, both null, one null — is checked against the baselines.
+
+#[path = "../../tests/common/reference.rs"]
+mod reference;
 
 use deptree::core::engine::obs::Tracer;
 use deptree::core::engine::Exec;
@@ -60,7 +67,13 @@ fn main() {
         println!("== {n} rows ==");
         let mut obj = format!("    {{\n      \"rows\": {n}");
         bench_md(n, &mut obj, tracer.as_ref());
-        bench_dc(n, &mut obj, tracer.as_ref());
+        bench_dc("dc_evidence", &dc_relation(n), &mut obj, tracer.as_ref());
+        bench_dc(
+            "dc_evidence_nulls",
+            &dc_null_relation(n),
+            &mut obj,
+            tracer.as_ref(),
+        );
         bench_dedup(n, &mut obj, tracer.as_ref());
         obj.push_str("\n    }");
         rows_json.push(obj);
@@ -186,7 +199,7 @@ fn bench_md(n: usize, obj: &mut String, tracer: Option<&Arc<Tracer>>) {
         elapsed
     });
     println!(
-        "  md_discovery : naive {}  indexed {indexed_ms:9.1}ms  ({} rules)",
+        "  md_discovery      : naive {}  indexed {indexed_ms:9.1}ms  ({} rules)",
         naive_ms.map_or("   skipped".into(), |v| format!("{v:9.1}ms")),
         fast.len()
     );
@@ -205,46 +218,77 @@ fn dc_relation(n: usize) -> Relation {
     built(b)
 }
 
-fn bench_dc(n: usize, obj: &mut String, tracer: Option<&Arc<Tracer>>) {
-    let r = dc_relation(n);
-    let preds = dc::predicate_space(&r);
+/// [`dc_relation`]'s shape with nulls in both columns and numerically
+/// equal `Int`/`Float` cells (distinct dictionary entries, one numeric
+/// rank), so pairs land in every mask-table slot.
+fn dc_null_relation(n: usize) -> Relation {
+    let cell = |i: i64, v: i64, null_every: i64| {
+        if i % null_every == 0 {
+            Value::Null
+        } else if i % 3 == 0 {
+            Value::float(v as f64)
+        } else {
+            Value::int(v)
+        }
+    };
+    let mut b = RelationBuilder::new()
+        .attr("x", ValueType::Numeric)
+        .attr("y", ValueType::Numeric);
+    for i in 0..n as i64 {
+        b = b.row(vec![cell(i, i % 40, 13), cell(i, (i * 7) % 25, 17)]);
+    }
+    built(b)
+}
+
+fn bench_dc(name: &str, r: &Relation, obj: &mut String, tracer: Option<&Arc<Tracer>>) {
+    let n = r.n_rows();
+    let preds = dc::predicate_space(r);
     let mut stats = FastDcStats::default();
     let t0 = Instant::now();
     let (blocked, complete) =
-        dc::evidence_sets_blocked(&r, &preds, &mut stats, &exec_with(1, tracer));
+        dc::evidence_sets_blocked(r, &preds, &mut stats, &exec_with(1, tracer));
     let indexed_ms = ms(t0.elapsed());
     assert!(complete);
     let mut stats8 = FastDcStats::default();
     let (blocked8, _) =
-        dc::evidence_sets_blocked(&r, &preds, &mut stats8, &Exec::unbounded().with_threads(8));
-    assert_eq!(blocked, blocked8, "DC evidence differs at 1 vs 8 threads");
+        dc::evidence_sets_blocked(r, &preds, &mut stats8, &Exec::unbounded().with_threads(8));
+    assert_eq!(
+        blocked, blocked8,
+        "{name}: DC evidence differs at 1 vs 8 threads"
+    );
     assert_eq!(stats.pairs_evaluated, stats8.pairs_evaluated);
     let naive_ms = (n <= NAIVE_CAP).then(|| {
         let mut gstats = FastDcStats::default();
         let t0 = Instant::now();
-        let grouped = dc::evidence_sets_grouped(&r, &preds, &mut gstats);
+        let grouped = reference::evidence_sets_grouped(r, &preds, &mut gstats);
         let elapsed = ms(t0.elapsed());
-        assert_eq!(blocked, grouped, "blocked DC evidence differs from naive");
+        assert_eq!(
+            blocked, grouped,
+            "{name}: blocked DC evidence differs from naive"
+        );
         assert_eq!(stats.pairs_evaluated, gstats.pairs_evaluated);
         elapsed
     });
     let plain_ms = (n <= PLAIN_DC_CAP).then(|| {
         let mut pstats = FastDcStats::default();
         let t0 = Instant::now();
-        let plain = dc::evidence_sets(&r, &preds, &mut pstats);
+        let plain = dc::evidence_sets(r, &preds, &mut pstats);
         let elapsed = ms(t0.elapsed());
-        assert_eq!(blocked, plain, "blocked DC evidence differs from plain");
+        assert_eq!(
+            blocked, plain,
+            "{name}: blocked DC evidence differs from plain"
+        );
         elapsed
     });
     println!(
-        "  dc_evidence  : naive {}  indexed {indexed_ms:9.1}ms  ({} evidence sets)",
+        "  {name:<18}: naive {}  indexed {indexed_ms:9.1}ms  ({} evidence sets)",
         naive_ms.map_or("   skipped".into(), |v| format!("{v:9.1}ms")),
         blocked.len()
     );
-    push_metric(obj, "dc_evidence", naive_ms, indexed_ms);
+    push_metric(obj, name, naive_ms, indexed_ms);
     let _ = write!(
         obj,
-        ",\n      \"dc_evidence_plain_ms\": {}",
+        ",\n      \"{name}_plain_ms\": {}",
         plain_ms.map_or("null".into(), |v| format!("{v:.3}")),
     );
 }
@@ -291,7 +335,7 @@ fn bench_dedup(n: usize, obj: &mut String, tracer: Option<&Arc<Tracer>>) {
         elapsed
     });
     println!(
-        "  dedup        : naive {}  indexed {indexed_ms:9.1}ms  ({} rows, {} clusters)",
+        "  dedup             : naive {}  indexed {indexed_ms:9.1}ms  ({} rows, {} clusters)",
         naive_ms.map_or("   skipped".into(), |v| format!("{v:9.1}ms")),
         r.n_rows(),
         fast.n_clusters

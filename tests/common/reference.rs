@@ -7,12 +7,14 @@
 //! the materialisation.
 //!
 //! The property suite compares every kernel against its counterpart here,
-//! and `src/bin/columnar_scaling.rs` includes this same file (through
-//! `#[path]`) to time the kernels against these baselines.
+//! and `src/bin/columnar_scaling.rs` and `src/bin/pairwise_scaling.rs`
+//! include this same file (through `#[path]`) to time the kernels against
+//! these baselines.
 
 #![allow(dead_code)]
 
-use deptree::core::Direction;
+use deptree::core::{CmpOp, Direction, Operand, Predicate};
+use deptree::discovery::dc::FastDcStats;
 use deptree::metrics::Metric;
 use deptree::relation::pairgen::PairSpec;
 use deptree::relation::{AttrId, AttrSet, Relation, Value};
@@ -217,4 +219,68 @@ pub fn od_single_atom_sorted(
         start = end;
     }
     true
+}
+
+/// FASTDC evidence sets by a full ordered-pair scan with per-attribute
+/// bit reuse (BFASTDC-style): each pair's cells are compared once per
+/// attribute through [`Value::numeric_cmp`], and that one outcome sets
+/// every same-attribute predicate bit; any other predicate is evaluated
+/// generically. Counts every pair in `stats.pairs_evaluated`.
+pub fn evidence_sets_grouped(
+    r: &Relation,
+    preds: &[Predicate],
+    stats: &mut FastDcStats,
+) -> HashMap<u64, usize> {
+    assert!(preds.len() <= 64, "predicate space capped at 64 bits");
+    let mut by_attr: Vec<(AttrId, Vec<(usize, CmpOp)>)> = Vec::new();
+    let mut generic: Vec<(usize, &Predicate)> = Vec::new();
+    for (k, p) in preds.iter().enumerate() {
+        match (&p.left, &p.right) {
+            (Operand::First(a), Operand::Second(b)) if a == b => {
+                match by_attr.iter_mut().find(|(x, _)| x == a) {
+                    Some((_, ops)) => ops.push((k, p.op)),
+                    None => by_attr.push((*a, vec![(k, p.op)])),
+                }
+            }
+            _ => generic.push((k, p)),
+        }
+    }
+    let mut evidence: HashMap<u64, usize> = HashMap::new();
+    for i in 0..r.n_rows() {
+        for j in 0..r.n_rows() {
+            if i == j {
+                continue;
+            }
+            stats.pairs_evaluated += 1;
+            let mut bits = 0u64;
+            for (attr, ops) in &by_attr {
+                let (vi, vj) = (r.value(i, *attr), r.value(j, *attr));
+                if vi.is_null() || vj.is_null() {
+                    // `CmpOp::eval`'s null semantics, predicate by predicate.
+                    for &(k, op) in ops {
+                        bits |= u64::from(op.eval(vi, vj)) << k;
+                    }
+                    continue;
+                }
+                let ord = vi.numeric_cmp(vj);
+                for &(k, op) in ops {
+                    let sat = match op {
+                        CmpOp::Eq => ord.is_eq(),
+                        CmpOp::Neq => ord.is_ne(),
+                        CmpOp::Lt => ord.is_lt(),
+                        CmpOp::Leq => ord.is_le(),
+                        CmpOp::Gt => ord.is_gt(),
+                        CmpOp::Geq => ord.is_ge(),
+                    };
+                    bits |= u64::from(sat) << k;
+                }
+            }
+            for &(k, p) in &generic {
+                bits |= u64::from(p.eval(r, i, j)) << k;
+            }
+            *evidence.entry(bits).or_default() += 1;
+        }
+    }
+    stats.n_evidence_sets = evidence.len();
+    evidence
 }

@@ -14,7 +14,9 @@ use deptree::core::{Dependency, Direction, Fd, Ned, NedAtom, Od};
 use deptree::discovery::{dc, dd, fastfd, md, ned, od, tane};
 use deptree::metrics::Metric;
 use deptree::relation::examples::{hotels_r1, hotels_r5, hotels_r6, hotels_r7};
-use deptree::relation::{AttrSet, Relation, StrippedPartition};
+use deptree::relation::{
+    AttrId, AttrSet, Relation, RelationBuilder, StrippedPartition, Value, ValueType,
+};
 use deptree::synth::{categorical, entities, CategoricalConfig, EntitiesConfig};
 
 const MAX_LHS: usize = 3;
@@ -443,12 +445,104 @@ fn od_sorted_validation_matches_naive_pair_scan() {
     }
 }
 
+/// Numeric cells at every edge of `numeric_cmp` and `CmpOp::eval`:
+/// nulls, NaN, ±∞, ±0.0, `Int(2)`/`Float(2.0)` ties and a string in a
+/// numeric column, plus a categorical column with nulls. Rows 12–13
+/// repeat rows 5–6, so some tuple classes hold two rows.
+fn dc_edge_relation() -> Relation {
+    let p = [
+        Value::float(f64::INFINITY),
+        Value::Null,
+        Value::float(f64::NAN),
+        Value::float(f64::NEG_INFINITY),
+        Value::float(-0.0),
+        Value::float(0.0),
+        Value::int(2),
+        Value::float(2.0),
+        Value::str("x"),
+        Value::Null,
+        Value::int(-3),
+        Value::float(2.0),
+    ];
+    let c = [Value::str("a"), Value::Null, Value::str("b")];
+    let mut b = RelationBuilder::new()
+        .attr("p", ValueType::Numeric)
+        .attr("q", ValueType::Numeric)
+        .attr("c", ValueType::Categorical);
+    let row = |i: usize| {
+        vec![
+            p[i].clone(),
+            p[(i * 5 + 1) % p.len()].clone(),
+            c[i % c.len()].clone(),
+        ]
+    };
+    for i in (0..p.len()).chain([5, 6]) {
+        b = b.row(row(i));
+    }
+    b.build().expect("consistent arity")
+}
+
+/// Text and categorical columns (with nulls, empty strings and digit
+/// strings that sort unlike their numbers) beside a numeric column that
+/// mixes numbers and text.
+fn dc_text_relation() -> Relation {
+    let text = ["10", "9", "", "b", "B"];
+    let mut b = RelationBuilder::new()
+        .attr("t", ValueType::Text)
+        .attr("k", ValueType::Categorical)
+        .attr("n", ValueType::Numeric);
+    for i in 0..16usize {
+        b = b.row(vec![
+            if i % 7 == 3 {
+                Value::Null
+            } else {
+                Value::str(text[i % text.len()])
+            },
+            if i % 5 == 0 {
+                Value::Null
+            } else {
+                Value::str(format!("k{}", i % 3))
+            },
+            match i % 4 {
+                0 => Value::str("9"),
+                1 => Value::int(9),
+                2 => Value::float(9.0),
+                _ => Value::int(i as i64 - 8),
+            },
+        ]);
+    }
+    b.build().expect("consistent arity")
+}
+
+/// [`dc_edge_relation`] and [`dc_text_relation`], each as built, after
+/// overwrites that orphan dictionary entries, and after a row selection
+/// (with a repeated row).
+fn dc_edge_cases() -> Vec<(String, Relation)> {
+    let mut out = Vec::new();
+    for (name, mut r) in [
+        ("numeric edges", dc_edge_relation()),
+        ("text mix", dc_text_relation()),
+    ] {
+        out.push((name.to_string(), r.clone()));
+        r.set_value(0, AttrId(0), Value::float(-1.5));
+        r.set_value(1, AttrId(1), Value::Null);
+        r.set_value(2, AttrId(1), Value::float(2.0));
+        out.push((
+            format!("{name} after select"),
+            r.select_rows(&[9, 0, 4, 4, 5, 2, 1, 7]),
+        ));
+        out.push((format!("{name} after set"), r));
+    }
+    out
+}
+
 #[test]
 fn dc_blocked_evidence_matches_naive_at_all_thread_counts() {
     let mut cases = vec![
         ("r7".to_string(), hotels_r7()),
         ("categorical".to_string(), synthetic(13, 80, 0.05)),
     ];
+    cases.extend(dc_edge_cases());
     let mut rng = deptree::synth::rng(0xDCDC);
     for case in 0..12 {
         cases.push((
@@ -477,6 +571,50 @@ fn dc_blocked_evidence_matches_naive_at_all_thread_counts() {
                 stats.pairs_evaluated, nstats.pairs_evaluated,
                 "{label}: multiplicity accounting at {threads} thread(s)"
             );
+        }
+    }
+}
+
+#[test]
+fn dc_grouped_reference_matches_naive() {
+    let mut cases = vec![
+        ("r7".to_string(), hotels_r7()),
+        ("categorical".to_string(), synthetic(5, 40, 0.1)),
+    ];
+    cases.extend(dc_edge_cases());
+    for (label, r) in &cases {
+        let preds = dc::predicate_space(r);
+        let mut nstats = dc::FastDcStats::default();
+        let mut gstats = dc::FastDcStats::default();
+        let naive = dc::evidence_sets(r, &preds, &mut nstats);
+        let grouped = common::reference::evidence_sets_grouped(r, &preds, &mut gstats);
+        assert_eq!(naive, grouped, "{label}");
+        assert_eq!(nstats.pairs_evaluated, gstats.pairs_evaluated, "{label}");
+    }
+}
+
+#[test]
+fn dc_discovery_under_budget_emits_only_holding_dcs() {
+    let mut cases = vec![("r7".to_string(), hotels_r7())];
+    cases.extend(dc_edge_cases());
+    let cfg = dc::DcConfig::default();
+    for (label, r) in &cases {
+        let pairs = (r.n_rows() * r.n_rows().saturating_sub(1)) as u64;
+        for budget in [
+            Budget::new().with_max_rows(pairs / 2),
+            Budget::new().with_max_rows(pairs.saturating_sub(1)),
+            Budget::new().with_max_nodes(5),
+        ] {
+            for threads in PAIR_THREADS {
+                let out =
+                    dc::discover_bounded(r, &cfg, &Exec::new(budget.clone()).with_threads(threads));
+                for found in &out.result.dcs {
+                    assert!(
+                        found.holds(r),
+                        "{label}, {budget:?}, {threads} thread(s): {found}"
+                    );
+                }
+            }
         }
     }
 }
